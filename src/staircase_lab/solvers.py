@@ -2,9 +2,22 @@
 
 Both problems share the same structure: gradient = Euler-Lagrange residual,
 Hessian = second variation, tridiagonal with an extra corner entry in the
-periodic case.  Steps are damped by an Armijo backtracking line search on the
-action; indefinite or singular Hessians fall back to a dense eigenvalue-clipped
-direction.
+periodic case.  All of the linear algebra on it is O(q):
+
+- Newton steps solve the tridiagonal system with LAPACK dgtsv; the periodic
+  corner is a rank-one Sherman-Morrison update whose two right-hand sides are
+  solved on one factorization.
+- Minimality is certified by Sylvester's law of inertia: H + shift*I is
+  positive definite exactly when every LDL^T pivot (LAPACK dpttrf) of the
+  open chain is positive and, in the periodic case, so is the Schur
+  complement of the last site, which couples to site 0 through the corner.
+- Critical points are deduplicated by class_distance, which compares only the
+  index shifts that can come within the threshold.
+
+Steps are damped by an Armijo backtracking line search on the action.  Only
+when the structured step fails (singular, not a descent direction, or
+exploding) does the solver fall back to a dense eigenvalue-clipped direction
+(q <= 200) or a Gershgorin-shifted cyclic solve (larger periodic q).
 
 The periodic problem is solved in displacement coordinates u_i = x_i - i*p/q
 (periodic in i, O(1) magnitude).  Working on the lift directly quantizes
@@ -22,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .errors import NoConvergence, SaddleOnly
 from .model import GeneratingModel
@@ -51,21 +64,34 @@ class CriticalPoint:
 # ---- linear solves --------------------------------------------------------
 
 
-def solve_tridiag_sym(diag, off, rhs):
-    """Solve the symmetric tridiagonal system; returns None on failure."""
+def tridiag_dense(diag, off):
+    """Dense symmetric matrix with diagonal diag and off[i] coupling i and i+1.
+
+    With len(off) == len(diag) the last entry couples n-1 and 0 (the periodic
+    corner); couplings landing on the same entry add, as they do for q <= 2.
+    """
     n = len(diag)
-    ab = np.zeros((3, n))
-    ab[1] = diag
-    if n > 1:
-        ab[0, 1:] = off
-        ab[2, :-1] = off
-    try:
-        out = solve_banded((1, 1), ab, rhs)
-    except Exception:
-        return None
-    if not np.all(np.isfinite(out)):
-        return None
-    return out
+    H = np.diag(np.asarray(diag, dtype=float))
+    i = np.arange(len(off))
+    j = (i + 1) % n
+    np.add.at(H, (i, j), off)
+    np.add.at(H, (j, i), off)
+    return H
+
+
+def solve_tridiag_sym(diag, off, rhs):
+    """Solve the symmetric tridiagonal system (LAPACK dgtsv); None on failure.
+
+    rhs may be one vector or a matrix of right-hand-side columns.
+    """
+    if len(diag) == 1:
+        # the f2py wrapper rejects the empty off-diagonals of n = 1
+        out = np.asarray(rhs, dtype=float) / diag[0]
+    else:
+        *_, out, info = dgtsv(off, diag, off, rhs)
+        if info != 0:
+            return None
+    return out if np.all(np.isfinite(out)) else None
 
 
 def solve_cyclic_tridiag_sym(diag, off, corner, rhs):
@@ -75,13 +101,8 @@ def solve_cyclic_tridiag_sym(diag, off, corner, rhs):
     """
     n = len(diag)
     if n < 3:
-        H = np.zeros((n, n))
-        idx = np.arange(n)
-        H[idx, idx] = diag
-        if n == 2:
-            H[0, 1] = H[1, 0] = off[0] + corner
         try:
-            out = np.linalg.solve(H, rhs)
+            out = np.linalg.solve(tridiag_dense(diag, np.append(off, corner)), rhs)
         except np.linalg.LinAlgError:
             return None
         return out if np.all(np.isfinite(out)) else None
@@ -89,15 +110,13 @@ def solve_cyclic_tridiag_sym(diag, off, corner, rhs):
     d = diag.copy()
     d[0] -= gamma
     d[-1] -= corner * corner / gamma
-    y = solve_tridiag_sym(d, off, rhs)
-    if y is None:
-        return None
     u = np.zeros(n)
     u[0] = gamma
     u[-1] = corner
-    z = solve_tridiag_sym(d, off, u)
-    if z is None:
+    yz = solve_tridiag_sym(d, off, np.column_stack((rhs, u)))
+    if yz is None:
         return None
+    y, z = yz[:, 0], yz[:, 1]
     # v = e0 + (corner/gamma) e_{n-1}
     vy = y[0] + (corner / gamma) * y[-1]
     vz = z[0] + (corner / gamma) * z[-1]
@@ -106,6 +125,18 @@ def solve_cyclic_tridiag_sym(diag, off, corner, rhs):
         return None
     out = y - z * (vy / denom)
     return out if np.all(np.isfinite(out)) else None
+
+
+def ldlt_tridiag(d, e):
+    """Pivots and multipliers of the LDL^T factorization (LAPACK dpttrf).
+
+    Returns None unless every pivot is positive, i.e. unless the symmetric
+    tridiagonal matrix (d, e) is positive definite.
+    """
+    if len(d) == 1:
+        return (d, e) if d[0] > 0.0 else None
+    piv, mult, info = dpttrf(d, e)
+    return (piv, mult) if info == 0 and np.all(piv > 0.0) else None
 
 
 def modified_newton_direction(H, g):
@@ -167,17 +198,6 @@ class PeriodicProblem:
         off = np.atleast_1d(np.asarray(self.model.d12h(z, zn), dtype=float))
         return diag, off
 
-    def hessian_dense(self, u):
-        diag, off = self.hessian_parts(u)
-        q = self.q
-        H = np.zeros((q, q))
-        idx = np.arange(q)
-        H[idx, idx] = diag
-        jdx = (idx + 1) % q
-        np.add.at(H, (idx, jdx), off)
-        np.add.at(H, (jdx, idx), off)
-        return H
-
     def from_lift(self, x):
         return np.asarray(x, dtype=float) - np.arange(self.q) * self.rat
 
@@ -202,19 +222,11 @@ class PeriodicProblem:
         return (um - u[m]) + i * self.rat + z0
 
 
-def periodic_action(model: GeneratingModel, x, p: int, q: int) -> float:
-    """fsum action of one period of a lift array (external configurations)."""
-    x = np.asarray(x, dtype=float)
-    nxt = np.roll(x, -1)
-    nxt[-1] += p
-    return math.fsum(np.asarray(model.eval_h(x, nxt), dtype=float).tolist())
-
-
 def periodic_hessian_dense(model, x, p, q):
     """Second variation on a lift period (small q; hyperbolicity reports)."""
     x = np.asarray(x, dtype=float)
     prob = PeriodicProblem(model, p, q)
-    return prob.hessian_dense(prob.from_lift(x))
+    return tridiag_dense(*prob.hessian_parts(prob.from_lift(x)))
 
 
 def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
@@ -235,7 +247,7 @@ def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
             s = solve_cyclic_tridiag_sym(diag, off[:-1], float(off[-1]), -g)
         if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(u).max()):
             if q <= 200:
-                s = modified_newton_direction(prob.hessian_dense(u), g)
+                s = modified_newton_direction(tridiag_dense(diag, off), g)
             else:
                 # Gershgorin shift keeps the fallback O(q) at large periods
                 radius = np.abs(off) + np.abs(np.roll(off, 1))
@@ -267,54 +279,56 @@ def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
     return u, res, res < opts.tol
 
 
-def newton_periodic(model, x0, p, q, opts: SolveOptions):
-    """Lift-array wrapper around the displacement-coordinate Newton solver."""
-    prob = PeriodicProblem(model, p, q)
-    u, res, ok = newton_periodic_u(prob, prob.from_lift(x0), opts)
-    return prob.to_lift(u), res, ok
-
-
 def certify_psd_periodic_u(prob: PeriodicProblem, u, shift=1e-8):
-    H = prob.hessian_dense(u)
-    scale = max(1.0, float(np.abs(np.diag(H)).max()))
-    try:
-        np.linalg.cholesky(H + shift * scale * np.eye(prob.q))
-        return True
-    except np.linalg.LinAlgError:
+    """True when H + shift*scale*I is positive definite, scale = max(1, max|H_ii|).
+
+    By Sylvester's law of inertia this is the dense Cholesky test: the open
+    chain of the first q-1 sites must have positive LDL^T pivots, and the
+    Schur complement of site q-1, which couples to site q-2 and through the
+    corner to site 0, must be positive.
+    """
+    diag, off = prob.hessian_parts(u)
+    q = prob.q
+    if q <= 2:
+        # couplings fold onto the diagonal (q = 1) or one entry (q = 2)
+        H = tridiag_dense(diag, off)
+        scale = max(1.0, float(np.abs(np.diag(H)).max()))
+        try:
+            np.linalg.cholesky(H + shift * scale * np.eye(q))
+            return True
+        except np.linalg.LinAlgError:
+            return False
+    d = diag + shift * max(1.0, float(np.abs(diag).max()))
+    factors = ldlt_tridiag(d[:-1], off[: q - 2])
+    if factors is None:
         return False
-
-
-def canonicalize_periodic(x, p, q):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (q,):
-        raise ValueError(f"expected {q} positions, got shape {x.shape}")
-    i = np.arange(q)
-    u = x - i * (p / q)
-    frac = ((i * p) % q) / q
-    z = np.mod(u + frac, 1.0)
-    order = np.argsort(z, kind="stable")
-    m = int(order[0])
-    ties = [int(t) for t in order if abs(z[t] - z[m]) <= 1e-12]
-    if len(ties) > 1:
-        m = min(ties, key=lambda t: tuple(np.roll(z, -t)))
-    um = u[(m + i) % q]
-    return (um - u[m]) + i * (p / q) + float(z[m])
+    c = np.zeros(q - 1)
+    c[0] = off[-1]
+    c[-1] += off[q - 2]
+    x, info = dpttrs(*factors, c)
+    return info == 0 and bool(d[-1] - float(np.dot(c, x)) > 0.0)
 
 
 # ---- seeds ------------------------------------------------------------------
 
 
-def class_distance(x1, x2, q):
+def class_distance(x1, x2, q, tol):
     """Distance between configuration classes modulo shift and translation.
 
-    Compares fractional sequences z_i = x_i mod 1 over all index shifts with
+    Compares the q fractional entries z_i = x_i mod 1 under an index shift with
     a circular per-entry metric, so representatives on opposite sides of the
-    seam (x near 0 versus x near 1) compare as the same class.
+    seam (x near 0 versus x near 1) compare as the same class.  A shift can
+    reach a maximum <= tol only if its first entry is within tol of z2[0], so
+    only those shifts are compared: the result is the minimum over all shifts
+    whenever that minimum is <= tol, and otherwise some value > tol (inf when
+    no shift qualifies).
     """
     z1 = np.mod(np.asarray(x1, dtype=float), 1.0)
     z2 = np.mod(np.asarray(x2, dtype=float), 1.0)
+    d0 = z1 - z2[0]
+    d0 = np.abs(d0 - np.round(d0))
     best = np.inf
-    for s in range(q):
+    for s in np.flatnonzero(d0 <= tol):
         d = np.roll(z1, -s) - z2
         d = np.abs(d - np.round(d))
         best = min(best, float(d.max()))
@@ -357,8 +371,8 @@ def build_seeds(model, p, q, opts: SolveOptions):
 def solve_all_starts(model, p, q, opts: SolveOptions, extra_seeds=None):
     """Runs every seed to convergence; returns distinct critical points.
 
-    Deduplication is by the canonical fractional sequence within 1e-9, so the
-    PSD certificate runs once per class.
+    Deduplication is by class_distance within 1e-8, so the PSD certificate
+    runs once per class.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -373,7 +387,7 @@ def solve_all_starts(model, p, q, opts: SolveOptions, extra_seeds=None):
         if not ok:
             continue
         lift = prob.to_lift(u)
-        if any(class_distance(lift, c.positions, q) <= 1e-8 for c in found):
+        if any(class_distance(lift, c.positions, q, 1e-8) <= 1e-8 for c in found):
             continue
         psd = certify_psd_periodic_u(prob, u, opts.psd_shift)
         found.append(
@@ -448,16 +462,9 @@ def newton_segment(model, w0, n_fix_left, n_fix_right, opts: SolveOptions):
         if res < target:
             return w, res, True
         diag, off = segment_hessian_parts(model, w, lo, hi)
-        m = hi - lo
-        s = solve_tridiag_sym(diag, off if m > 1 else off[:0], -g)
+        s = solve_tridiag_sym(diag, off, -g)
         if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(w).max()):
-            H = np.zeros((m, m))
-            idx = np.arange(m)
-            H[idx, idx] = diag
-            if m > 1:
-                H[idx[:-1], idx[1:]] = off
-                H[idx[1:], idx[:-1]] = off
-            s = modified_newton_direction(H, g)
+            s = modified_newton_direction(tridiag_dense(diag, off), g)
         slope = float(np.dot(g, s))
         if slope >= 0.0:
             s = -g
@@ -484,21 +491,11 @@ def newton_segment(model, w0, n_fix_left, n_fix_right, opts: SolveOptions):
 
 
 def certify_psd_segment(model, w, n_fix_left, n_fix_right, shift=1e-8):
+    """True when the free-site Hessian plus shift*scale*I is positive definite."""
     n = len(w)
     lo, hi = n_fix_left, n - n_fix_right
     if hi <= lo:
         return True
     diag, off = segment_hessian_parts(model, w, lo, hi)
-    m = hi - lo
-    H = np.zeros((m, m))
-    idx = np.arange(m)
-    H[idx, idx] = diag
-    if m > 1:
-        H[idx[:-1], idx[1:]] = off
-        H[idx[1:], idx[:-1]] = off
     scale = max(1.0, float(np.abs(diag).max()))
-    try:
-        np.linalg.cholesky(H + shift * scale * np.eye(m))
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    return ldlt_tridiag(diag + shift * scale, off) is not None

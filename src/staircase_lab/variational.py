@@ -221,7 +221,7 @@ def enumerate_minimizers(
     # merge classes modulo shift/translation symmetry
     classes: list[solvers.CriticalPoint] = []
     for c in minima:
-        if any(solvers.class_distance(c.positions, k.positions, q) <= 1e-7 for k in classes):
+        if any(solvers.class_distance(c.positions, k.positions, q, 1e-7) <= 1e-7 for k in classes):
             continue
         classes.append(c)
     amin = min(c.action for c in classes)

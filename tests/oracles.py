@@ -3,10 +3,14 @@
 Everything here deliberately avoids the package's solver code paths: finite
 differences instead of analytic partials, dense grid search plus coordinate
 descent instead of Newton, and direct grid sweeps for barriers.  Slow but
-simple, so the main library can be checked against them.
+simple, so the main library can be checked against them.  The last section
+keeps the dense and all-shifts linear-algebra paths that the solver's O(q)
+kernels replaced: dense Cholesky certificates, solve_banded solves and the
+class comparison over every index shift.
 """
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 
 
@@ -150,3 +154,94 @@ def pn_barrier_oracle(model, p, q, n_sweep=16, n_inner=20000):
         best.append(res.fun)
     best = np.asarray(best)
     return float(best.max() - best.min())
+
+
+# ---- slow linear-algebra paths replaced by the O(q) solver kernels ----------
+
+
+def dense_tridiag(diag, off):
+    """Dense symmetric matrix; off[i] couples i and (i + 1) mod n, summing overlaps."""
+    n = len(diag)
+    H = np.zeros((n, n))
+    for i in range(n):
+        H[i, i] += diag[i]
+    for i, c in enumerate(off):
+        j = (i + 1) % n
+        H[i, j] += c
+        H[j, i] += c
+    return H
+
+
+def banded_solve(diag, off, rhs):
+    """Symmetric tridiagonal solve through scipy's validated solve_banded."""
+    n = len(diag)
+    ab = np.zeros((3, n))
+    ab[1] = diag
+    if n > 1:
+        ab[0, 1:] = off
+        ab[2, :-1] = off
+    try:
+        out = solve_banded((1, 1), ab, rhs)
+    except (ValueError, np.linalg.LinAlgError):
+        return None
+    return out if np.all(np.isfinite(out)) else None
+
+
+def banded_cyclic_solve(diag, off, corner, rhs):
+    """Sherman-Morrison cyclic solve with one solve_banded call per right-hand side."""
+    n = len(diag)
+    gamma = -diag[0] if diag[0] != 0.0 else 1.0
+    d = diag.copy()
+    d[0] -= gamma
+    d[-1] -= corner * corner / gamma
+    y = banded_solve(d, off, rhs)
+    u = np.zeros(n)
+    u[0] = gamma
+    u[-1] = corner
+    z = banded_solve(d, off, u)
+    if y is None or z is None:
+        return None
+    vy = y[0] + (corner / gamma) * y[-1]
+    vz = z[0] + (corner / gamma) * z[-1]
+    denom = 1.0 + vz
+    if denom == 0.0 or not np.isfinite(denom):
+        return None
+    out = y - z * (vy / denom)
+    return out if np.all(np.isfinite(out)) else None
+
+
+def _cholesky_pd(H, shift):
+    scale = max(1.0, float(np.abs(np.diag(H)).max()))
+    try:
+        np.linalg.cholesky(H + shift * scale * np.eye(len(H)))
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def cholesky_psd_periodic(prob, u, shift=1e-8):
+    """Dense Cholesky of the periodic second variation plus shift*scale*I."""
+    return _cholesky_pd(dense_tridiag(*prob.hessian_parts(u)), shift)
+
+
+def cholesky_psd_segment(model, w, n_fix_left, n_fix_right, shift=1e-8):
+    """Dense Cholesky of the clamped-segment second variation plus shift*scale*I."""
+    lo, hi = n_fix_left, len(w) - n_fix_right
+    if hi <= lo:
+        return True
+    x, xn, xp = w[lo:hi], w[lo + 1 : hi + 1], w[lo - 1 : hi - 1]
+    diag = model.d11h(x, xn) + model.d22h(xp, x)
+    off = np.broadcast_to(model.d12h(w[lo : hi - 1], w[lo + 1 : hi]), (hi - lo - 1,))
+    return _cholesky_pd(dense_tridiag(diag, off), shift)
+
+
+def class_distance_all_shifts(x1, x2, q):
+    """Smallest circular sup-distance of the fractional sequences over all q shifts."""
+    z1 = np.mod(np.asarray(x1, dtype=float), 1.0)
+    z2 = np.mod(np.asarray(x2, dtype=float), 1.0)
+    best = np.inf
+    for s in range(q):
+        d = np.roll(z1, -s) - z2
+        d = np.abs(d - np.round(d))
+        best = min(best, float(d.max()))
+    return best

@@ -1,0 +1,201 @@
+"""The O(q) solver kernels against the dense and all-shifts oracles they replaced."""
+
+import numpy as np
+import pytest
+
+from staircase_lab.model import GeneratingModel, frenkel_kontorova
+from staircase_lab.solvers import (
+    PeriodicProblem,
+    SolveOptions,
+    best_minimizer,
+    certify_psd_periodic_u,
+    certify_psd_segment,
+    class_distance,
+    solve_cyclic_tridiag_sym,
+    solve_tridiag_sym,
+    tridiag_dense,
+)
+
+from oracles import (
+    banded_cyclic_solve,
+    banded_solve,
+    cholesky_psd_periodic,
+    cholesky_psd_segment,
+    class_distance_all_shifts,
+    dense_tridiag,
+)
+
+QS = [1, 2, 3, 4, 5, 13, 200, 233, 1000]
+P_OF = {1: 0, 2: 1, 3: 1, 4: 1, 5: 2, 13: 5, 200: 77, 233: 89, 1000: 381}
+MODELS = {
+    "fk": frenkel_kontorova(2.0),
+    "fourier": GeneratingModel(
+        family="fourier-potential", a=0.8, harmonics=((1, -0.3, 0.1), (2, 0.05, -0.04))
+    ),
+}
+
+
+class ShiftedModel:
+    """A model whose second variation is the base one plus t * identity."""
+
+    def __init__(self, base, t):
+        self.base = base
+        self.t = t
+
+    def d11h(self, x, xp):
+        return self.base.d11h(x, xp) + self.t
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+
+def configurations(q, seed):
+    """A displacement field u near the integrable seed and one far from it."""
+    rng = np.random.default_rng(seed)
+    return [0.05 * rng.standard_normal(q), rng.uniform(-0.5, 0.5, q)]
+
+
+def scale_of(diag):
+    return max(1.0, float(np.abs(diag).max()))
+
+
+# ---- certificates -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+@pytest.mark.parametrize("q", QS)
+def test_periodic_certificate_matches_dense_cholesky(family, q):
+    model, p = MODELS[family], P_OF[q]
+    for u in configurations(q, seed=q):
+        prob = PeriodicProblem(model, p, q)
+        assert certify_psd_periodic_u(prob, u) == cholesky_psd_periodic(prob, u)
+        H = dense_tridiag(*prob.hessian_parts(u))
+        t0 = -float(np.linalg.eigvalsh(H)[0])
+        s0 = scale_of(np.diag(H) + t0)
+        # eps in units of the shifted scale: clear margins, the bare zero
+        # mode (definite only through the shift), and half a shift inside and
+        # two shifts past the certificate's threshold
+        for eps, expect in [(1e-3, True), (0.0, True), (-0.5e-8, True),
+                            (-3e-8, False), (-1e-3, False)]:
+            shifted = PeriodicProblem(ShiftedModel(model, t0 + eps * s0), p, q)
+            got = certify_psd_periodic_u(shifted, u)
+            assert got == cholesky_psd_periodic(shifted, u) == expect, (eps, q)
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+@pytest.mark.parametrize("q", QS)
+def test_segment_certificate_matches_dense_cholesky(family, q):
+    model = MODELS[family]
+    rng = np.random.default_rng(100 + q)
+    n = q + 4
+    for w in (np.arange(n) * 0.37 + 0.02 * rng.standard_normal(n),
+              np.sort(rng.uniform(0.0, 0.37 * n, n))):
+        for shift in (1e-8, 1e-12):
+            assert certify_psd_segment(model, w, 2, 2, shift) == cholesky_psd_segment(
+                model, w, 2, 2, shift)
+        diag = model.d11h(w[2:-2], w[3:-1]) + model.d22h(w[1:-3], w[2:-2])
+        H = dense_tridiag(diag, np.broadcast_to(model.d12h(w[2:-3], w[3:-2]), (q - 1,)))
+        t0 = -float(np.linalg.eigvalsh(H)[0])
+        s0 = scale_of(diag + t0)
+        for eps, expect in [(1e-3, True), (-0.5e-8, True), (-3e-8, False), (-1e-3, False)]:
+            shifted = ShiftedModel(model, t0 + eps * s0)
+            got = certify_psd_segment(shifted, w, 2, 2)
+            assert got == cholesky_psd_segment(shifted, w, 2, 2) == expect, (eps, q)
+
+
+def test_certificate_on_solved_minimizers():
+    opts = SolveOptions(seed=3)
+    for model in MODELS.values():
+        for p, q in [(1, 2), (1, 3), (2, 5), (5, 13)]:
+            best = best_minimizer(model, p, q, opts)
+            prob = PeriodicProblem(model, p, q)
+            u = prob.from_lift(best.positions)
+            assert certify_psd_periodic_u(prob, u) and cholesky_psd_periodic(prob, u)
+
+
+# ---- solves -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+@pytest.mark.parametrize("q", QS)
+def test_solves_match_solve_banded(family, q):
+    model, p = MODELS[family], P_OF[q]
+    rng = np.random.default_rng(200 + q)
+    for u in configurations(q, seed=q):
+        diag, off = PeriodicProblem(model, p, q).hessian_parts(u)
+        rhs = rng.standard_normal(q)
+        open_off = off[: q - 1]
+        got = solve_tridiag_sym(diag, open_off, rhs)
+        want = banded_solve(diag, open_off, rhs)
+        assert (got is None) == (want is None)
+        if got is not None:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        got = solve_cyclic_tridiag_sym(diag, open_off, float(off[-1]), rhs)
+        if q < 3:
+            want = np.linalg.solve(tridiag_dense(diag, off), rhs)
+        else:
+            want = banded_cyclic_solve(diag, open_off, float(off[-1]), rhs)
+        assert (got is None) == (want is None)
+        if got is not None:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            H = dense_tridiag(diag, off)
+            assert np.abs(H @ got - rhs).max() < 1e-8 * np.abs(H).max() * np.abs(got).max()
+
+
+def test_singular_solves_fail_like_solve_banded():
+    for n in (1, 2, 5):
+        diag = np.zeros(n)
+        off = np.zeros(n - 1)
+        with np.errstate(divide="ignore"):  # n = 1 divides by the zero pivot
+            assert solve_tridiag_sym(diag, off, np.ones(n)) is None
+            assert banded_solve(diag, off, np.ones(n)) is None
+    # singular Laplacian: a cyclic solve through the zero mode must fail
+    diag, off = np.full(6, 2.0), np.full(5, -1.0)
+    assert solve_cyclic_tridiag_sym(diag, off, -1.0, np.ones(6)) is None
+    assert banded_cyclic_solve(diag, off, -1.0, np.ones(6)) is None
+
+
+# ---- class dedup --------------------------------------------------------------
+
+
+def same_class(x, p, q, shift, translate):
+    """The lift period of x re-indexed from site `shift` and translated."""
+    ext = np.concatenate([x, x + p])
+    return ext[shift : shift + q] + translate
+
+
+@pytest.mark.parametrize("q", QS)
+def test_class_distance_matches_all_shifts(q):
+    p = P_OF[q]
+    rng = np.random.default_rng(300 + q)
+    tol = 1e-8
+    x = np.arange(q) * (p / q) + 0.3 / q + 0.1 / q * rng.uniform(-1, 1, q)
+    pairs = []
+    for shift in {0, q // 2, q - 1}:
+        y = same_class(x, p, q, shift, float(rng.integers(-3, 4)))
+        pairs.append((y, True))
+        for bump, expect in [(0.5 * tol, True), (2.0 * tol, False), (0.3, False)]:
+            z = y.copy()
+            z[int(rng.integers(q))] += bump
+            pairs.append((z, expect))
+    pairs.append((x + 0.5 / q, False))
+    for y, expect in pairs:
+        got = class_distance(x, y, q, tol)
+        want = class_distance_all_shifts(x, y, q)
+        assert (got <= tol) == (want <= tol) == expect
+        if want <= tol:
+            assert got == want
+
+
+@pytest.mark.parametrize("q", QS)
+def test_class_distance_across_the_seam(q):
+    p = P_OF[q]
+    x = np.arange(q) * (p / q)  # site 0 sits exactly at z = 0
+    y = x.copy()
+    y[0] = -1e-13  # z = 1 - 1e-13: the same class seen from the other side
+    y[q // 2] -= 1.0  # and one site translated by a whole period
+    for tol in (1e-8, 1e-7):
+        got = class_distance(x, y, q, tol)
+        want = class_distance_all_shifts(x, y, q)
+        assert got <= tol and want <= tol and got == want
+        assert class_distance(y, x, q, tol) == class_distance_all_shifts(y, x, q)
