@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptRecord, VersionConflict
+from .staircase import normalize_rational
 from .variational import PeriodicConfiguration
 
 PAYLOAD_TOL = 1e-12
@@ -63,13 +64,6 @@ def payload_checksum(payload: dict) -> str:
     return hashlib.sha256(render_json(payload).encode("utf-8")).hexdigest()
 
 
-def _normalize(p: int, q: int) -> tuple[int, int]:
-    if q <= 0:
-        raise ValueError(f"denominator must be positive, got {q}")
-    g = math.gcd(abs(p), q)
-    return p // g, q // g
-
-
 class BetaCache:
     """Single-directory-per-model cache consumed by variational.beta_at."""
 
@@ -78,7 +72,7 @@ class BetaCache:
         self.quarantined: list[str] = []
 
     def record_path(self, model_hash: str, p: int, q: int) -> Path:
-        p, q = _normalize(p, q)
+        p, q = normalize_rational(p, q)
         return self.root / model_hash / f"{p}_{q}.json"
 
     def _quarantine(self, path: Path) -> None:
@@ -107,7 +101,7 @@ class BetaCache:
         return record
 
     def get(self, model, p: int, q: int) -> PeriodicConfiguration | None:
-        p, q = _normalize(p, q)
+        p, q = normalize_rational(p, q)
         record = self._load(self.record_path(model.model_hash, p, q))
         if record is None:
             return None
@@ -129,7 +123,7 @@ class BetaCache:
     def put(self, model, cfg: PeriodicConfiguration) -> Path:
         from . import __version__
 
-        p, q = _normalize(cfg.p, cfg.q)
+        p, q = normalize_rational(cfg.p, cfg.q)
         path = self.record_path(model.model_hash, p, q)
         payload = {
             "model_hash": model.model_hash,
@@ -170,7 +164,7 @@ class BetaCache:
 
     def require(self, model, p: int, q: int) -> PeriodicConfiguration:
         """Strict read: raises CorruptRecord instead of quarantining silently."""
-        p, q = _normalize(p, q)
+        p, q = normalize_rational(p, q)
         path = self.record_path(model.model_hash, p, q)
         if not path.exists():
             raise CorruptRecord(f"no cache record at {path}")

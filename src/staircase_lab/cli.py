@@ -21,18 +21,20 @@ from .hyperbolicity import full_report, pn_barrier
 from .model import load_model
 from .scan import (
     ScanConfig,
+    ac_part_record,
     cohomology_window,
     fill_table,
     flatness_csv_rows,
+    flatness_record,
     parse_scan_config,
+    probe_records,
     run_scan,
     scan_rationals,
     write_csv,
     write_report,
 )
 from .solvers import SolveOptions
-from .staircase import BetaTable, ac_part_probe, convexity_probe, legendre
-from .staircase import normalize_rational
+from .staircase import BetaTable, legendre, normalize_rational
 from .variational import minimize_periodic
 
 import numpy as np
@@ -161,18 +163,13 @@ def _cmd_flatness(args) -> int:
     model = _require_model(args)
     table, options = _bind_table(model, args)
     curve = flatness_curve(model, args.p, args.q, table=table, options=options)
-    record = {
-        "p": curve.p, "q": curve.q, "c_plus": curve.c_plus,
-        "C_fit": curve.C_fit, "lambda_fit": curve.lambda_fit,
-        "lambda_monodromy": curve.lambda_monodromy, "verdict": curve.verdict,
-    }
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(out / f"flatness_{curve.p}_{curve.q}.csv",
                   ("T", "delta", "u", "zeta_upper", "bound_value"),
                   flatness_csv_rows(curve))
-    print(render_json(record))
+    print(render_json(flatness_record(curve)))
     return 0
 
 
@@ -212,24 +209,10 @@ def _cmd_probe_kam(args) -> int:
     failures: list[dict] = []
     fill_table(table, cache, config, scan_rationals(config), failures)
 
-    probe_records = []
-    for target in config.probes:
-        try:
-            res = convexity_probe(table, target.cf, target.delta)
-        except StaircaseLabError as exc:
-            failures.append({"stage": f"probe cf={list(target.cf)}",
-                             "error": type(exc).__name__, "message": str(exc)})
-            continue
-        probe_records.append({
-            "cf": list(target.cf), "target": res.target, "c_low": res.c_low,
-            "C_high": res.C_high, "slope": res.slope, "intercept": res.intercept,
-            "n_samples": res.n_samples,
-        })
-
     report = {
         "model": {"hash": model.model_hash, **model.to_config_dict()},
         "config_digest": config.config_digest,
-        "probes": probe_records,
+        "probes": probe_records(table, config.probes, failures),
         "failures": failures,
     }
     windows = [t.window for t in config.probes if t.window is not None]
@@ -237,12 +220,7 @@ def _cmd_probe_kam(args) -> int:
         window = cohomology_window(table, config, failures)
         if window is not None:
             stair = legendre(table, np.linspace(window[0], window[1], config.c_grid))
-            ac = ac_part_probe(stair, windows)
-            report["ac_part"] = {
-                "bound": ac.bound, "lipschitz": ac.lipschitz,
-                "c_windows": [list(w) for w in ac.c_windows],
-                "n_segments": ac.n_segments,
-            }
+            report["ac_part"] = ac_part_record(stair, windows)
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import hyperbolicity, solvers, variational
 from .errors import DegenerateFamily, NegativeU, NoConvergence
-from .staircase import BetaTable
+from .staircase import BetaTable, normalize_rational
 
 PHONON_GAP_FLOOR = 1e-6
 SEGMENT_RESIDUAL = 1e-10
@@ -317,8 +317,7 @@ def flatness_curve(model, p: int, q: int, T_list=None, table: BetaTable | None =
     number; entries are nan where the family is degenerate or the loop would
     exceed the site cap.
     """
-    g = math.gcd(abs(p), q)
-    p, q = p // g, q // g
+    p, q = normalize_rational(p, q)
     if T_list is None:
         T_list = [T for T in DEFAULT_T_GRID if 2 * T * q <= MAX_LOOP_SITES]
     T_list = sorted(set(int(T) for T in T_list))

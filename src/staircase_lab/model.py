@@ -285,11 +285,10 @@ def parse_sections(text: str) -> list[tuple[str, dict]]:
     return sections
 
 
-def _require_float(section: str, data: dict, key: str, default=None) -> float:
+def parse_float(section: str, data: dict, key: str, default=None):
+    """data[key] as a float, default when the key is absent."""
     if key not in data:
-        if default is not None:
-            return default
-        raise ConfigError(f"[{section}] missing required key {key!r}")
+        return default
     try:
         return float(data[key])
     except ValueError as exc:
@@ -315,8 +314,8 @@ def model_from_sections(sections: list[tuple[str, dict]]) -> GeneratingModel:
             harmonics.append(
                 (
                     order,
-                    _require_float("harmonic", data, "cos_amp", 0.0),
-                    _require_float("harmonic", data, "sin_amp", 0.0),
+                    parse_float("harmonic", data, "cos_amp", 0.0),
+                    parse_float("harmonic", data, "sin_amp", 0.0),
                 )
             )
         else:
@@ -329,8 +328,8 @@ def model_from_sections(sections: list[tuple[str, dict]]) -> GeneratingModel:
     family = model_data.get("family")
     if family is None:
         raise ConfigError("[model] missing required key 'family'")
-    k = _require_float("model", model_data, "k", 0.0)
-    a = _require_float("model", model_data, "a", 0.5)
+    k = parse_float("model", model_data, "k", 0.0)
+    a = parse_float("model", model_data, "a", 0.5)
     return GeneratingModel(family=family, k=k, a=a, harmonics=tuple(harmonics))
 
 

@@ -24,7 +24,7 @@ from . import __version__
 from .cache import BetaCache, render_json
 from .errors import ConfigError, StaircaseLabError
 from .flatness import flatness_bound, flatness_curve
-from .model import GeneratingModel, model_from_sections, parse_sections
+from .model import GeneratingModel, model_from_sections, parse_float, parse_sections
 from .solvers import SolveOptions
 from .staircase import (
     DERIVATIVE_DEPTH,
@@ -113,15 +113,6 @@ def _parse_int(section: str, data: dict, key: str, default=None) -> int:
         raise ConfigError(f"[{section}] {key} = {data[key]!r} is not an integer") from exc
 
 
-def _parse_float(section: str, data: dict, key: str, default=None):
-    if key not in data:
-        return default
-    try:
-        return float(data[key])
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {data[key]!r} is not a number") from exc
-
-
 def _parse_list(section: str, data: dict, key: str, cast):
     if key not in data or not data[key].strip():
         return ()
@@ -179,9 +170,9 @@ def parse_scan_config(text: str, require_scan: bool = True) -> ScanConfig:
             cf = _parse_list("probe", data, "cf", int)
             if not cf:
                 raise ConfigError("[probe] missing required key 'cf'")
-            delta = _parse_float("probe", data, "delta", 0.3)
-            rho_lo = _parse_float("probe", data, "rho_lo")
-            rho_hi = _parse_float("probe", data, "rho_hi")
+            delta = parse_float("probe", data, "delta", 0.3)
+            rho_lo = parse_float("probe", data, "rho_lo")
+            rho_hi = parse_float("probe", data, "rho_hi")
             if (rho_lo is None) != (rho_hi is None):
                 raise ConfigError("[probe] rho_lo and rho_hi must come together")
             window = None
@@ -203,12 +194,12 @@ def parse_scan_config(text: str, require_scan: bool = True) -> ScanConfig:
     q_max = _parse_int("scan", scan_data, "q_max", 16)
     if q_max < 1:
         raise ConfigError(f"[scan] q_max must be >= 1, got {q_max}")
-    h_lo = _parse_float("scan", scan_data, "h_lo", 0.0)
-    h_hi = _parse_float("scan", scan_data, "h_hi", 1.0)
+    h_lo = parse_float("scan", scan_data, "h_lo", 0.0)
+    h_hi = parse_float("scan", scan_data, "h_hi", 1.0)
     if not h_lo < h_hi:
         raise ConfigError(f"[scan] degenerate homology range [{h_lo}, {h_hi}]")
-    c_lo = _parse_float("scan", scan_data, "c_lo")
-    c_hi = _parse_float("scan", scan_data, "c_hi")
+    c_lo = parse_float("scan", scan_data, "c_lo")
+    c_hi = parse_float("scan", scan_data, "c_hi")
     if (c_lo is None) != (c_hi is None):
         raise ConfigError("[scan] c_lo and c_hi must come together")
     if c_lo is not None and not c_lo < c_hi:
@@ -339,6 +330,43 @@ def flatness_csv_rows(curve):
                  if math.isfinite(curve.C_fit) else float("nan"))
         rows.append((T, delta, u, zeta, bound))
     return rows
+
+
+def flatness_record(curve) -> dict:
+    """The report record of one flatness curve (scan report and CLI stdout)."""
+    return {
+        "p": curve.p, "q": curve.q, "c_plus": curve.c_plus,
+        "C_fit": curve.C_fit, "lambda_fit": curve.lambda_fit,
+        "lambda_monodromy": curve.lambda_monodromy, "verdict": curve.verdict,
+    }
+
+
+def probe_records(table: BetaTable, probes, failures) -> list[dict]:
+    """One convexity-probe record per target; a failing probe goes to failures."""
+    records = []
+    for target in probes:
+        try:
+            res = convexity_probe(table, target.cf, target.delta)
+        except StaircaseLabError as exc:
+            failures.append({"stage": f"probe cf={list(target.cf)}",
+                             "error": type(exc).__name__, "message": str(exc)})
+            continue
+        records.append({
+            "cf": list(target.cf), "target": res.target, "c_low": res.c_low,
+            "C_high": res.C_high, "slope": res.slope, "intercept": res.intercept,
+            "n_samples": res.n_samples,
+        })
+    return records
+
+
+def ac_part_record(stair, windows) -> dict:
+    """The report record of the Lipschitz lower bound on the unlocked measure."""
+    ac = ac_part_probe(stair, windows)
+    return {
+        "bound": ac.bound, "lipschitz": ac.lipschitz,
+        "c_windows": [list(w) for w in ac.c_windows],
+        "n_segments": ac.n_segments,
+    }
 
 
 # ---- the scan driver ------------------------------------------------------------
@@ -527,35 +555,13 @@ def _run_scan_inner(config: ScanConfig, out: Path, report: dict) -> int:
         write_csv(out / f"flatness_{curve.p}_{curve.q}.csv",
                   ("T", "delta", "u", "zeta_upper", "bound_value"),
                   flatness_csv_rows(curve))
-        flatness_records.append({
-            "p": curve.p, "q": curve.q, "c_plus": curve.c_plus,
-            "C_fit": curve.C_fit, "lambda_fit": curve.lambda_fit,
-            "lambda_monodromy": curve.lambda_monodromy, "verdict": curve.verdict,
-        })
+        flatness_records.append(flatness_record(curve))
     results["flatness"] = flatness_records
 
-    probe_records = []
+    results["probes"] = probe_records(table, config.probes, failures)
     windows = [t.window for t in config.probes if t.window is not None]
-    for target in config.probes:
-        try:
-            res = convexity_probe(table, target.cf, target.delta)
-        except StaircaseLabError as exc:
-            failures.append({"stage": f"probe cf={list(target.cf)}",
-                             "error": type(exc).__name__, "message": str(exc)})
-            continue
-        probe_records.append({
-            "cf": list(target.cf), "target": res.target, "c_low": res.c_low,
-            "C_high": res.C_high, "slope": res.slope, "intercept": res.intercept,
-            "n_samples": res.n_samples,
-        })
-    results["probes"] = probe_records
     if windows and stair is not None:
-        ac = ac_part_probe(stair, windows)
-        results["ac_part"] = {
-            "bound": ac.bound, "lipschitz": ac.lipschitz,
-            "c_windows": [list(w) for w in ac.c_windows],
-            "n_segments": ac.n_segments,
-        }
+        results["ac_part"] = ac_part_record(stair, windows)
 
     results["n_rationals"] = len(tasks)
     results["failures"] = failures

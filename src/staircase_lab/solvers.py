@@ -1,23 +1,26 @@
 """Newton solvers for periodic and clamped-segment minimal configurations.
 
-Both problems share the same structure: gradient = Euler-Lagrange residual,
-Hessian = second variation, tridiagonal with an extra corner entry in the
-periodic case.  All of the linear algebra on it is O(q):
+Both problems minimize the twist-map action with one damped Newton driver,
+_damped_newton: Armijo backtracking on the action, full steps once the
+residual is below 1e-6, and a fallback step whenever the structured one is
+missing, not a descent direction, or exploding.  Two adapters supply what
+differs between the problems:
 
-- Newton steps solve the tridiagonal system with LAPACK dgtsv; the periodic
-  corner is a rank-one Sherman-Morrison update whose two right-hand sides are
-  solved on one factorization.
-- Minimality is certified by Sylvester's law of inertia: H + shift*I is
-  positive definite exactly when every LDL^T pivot (LAPACK dpttrf) of the
-  open chain is positive and, in the periodic case, so is the Schur
-  complement of the last site, which couples to site 0 through the corner.
-- Critical points are deduplicated by class_distance, which compares only the
-  index shifts that can come within the threshold.
+- newton_periodic_u: q-periodic configurations in displacement coordinates.
+  The Hessian is tridiagonal plus a corner entry, solved as a rank-one
+  Sherman-Morrison update of LAPACK dgtsv (both right-hand sides on one
+  factorization; skipped for q <= 3).  Its fallback is a dense
+  eigenvalue-clipped direction (q <= 200) or a Gershgorin-shifted cyclic
+  solve (larger q).
+- newton_segment: interior sites of a segment with clamped ends.  The
+  Hessian is tridiagonal (dgtsv); the fallback is the dense direction.
 
-Steps are damped by an Armijo backtracking line search on the action.  Only
-when the structured step fails (singular, not a descent direction, or
-exploding) does the solver fall back to a dense eigenvalue-clipped direction
-(q <= 200) or a Gershgorin-shifted cyclic solve (larger periodic q).
+Minimality is certified by Sylvester's law of inertia: H + shift*I is
+positive definite exactly when every LDL^T pivot (LAPACK dpttrf) of the open
+chain is positive and, in the periodic case, so is the Schur complement of
+the last site, which couples to site 0 through the corner.  Critical points
+are deduplicated by class_distance, which compares only the index shifts
+that can come within the threshold.
 
 The periodic problem is solved in displacement coordinates u_i = x_i - i*p/q
 (periodic in i, O(1) magnitude).  Working on the lift directly quantizes
@@ -229,54 +232,74 @@ def periodic_hessian_dense(model, x, p, q):
     return tridiag_dense(*prob.hessian_parts(prob.from_lift(x)))
 
 
-def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
-    """Damped Newton in displacement coordinates; returns (u, residual_sup, ok)."""
-    u = np.array(u0, dtype=float)
-    q = prob.q
+def _damped_newton(x, free, gradient, action, hessian_parts, solve, fallback, opts):
+    """Damped Newton with Armijo backtracking on the sites x[free].
+
+    gradient and action see the whole state x and cover only the free sites;
+    hessian_parts(x) -> (diag, off) is the structured second variation.
+    solve(diag, off, rhs) is the structured Newton solve (None on failure);
+    fallback(diag, off, g) replaces a step that is missing, not a descent
+    direction, or exploding.  Returns (x, residual_sup, ok).
+    """
     target = 0.25 * opts.tol  # margin so re-evaluation stays under tol
-    res = float(np.abs(prob.gradient(u)).max())
     for _ in range(opts.max_iter):
-        g = prob.gradient(u)
+        g = gradient(x)
         res = float(np.abs(g).max())
         if res < target:
-            return u, res, True
-        diag, off = prob.hessian_parts(u)
-        if q <= 3:
-            s = None
-        else:
-            s = solve_cyclic_tridiag_sym(diag, off[:-1], float(off[-1]), -g)
-        if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(u).max()):
-            if q <= 200:
-                s = modified_newton_direction(tridiag_dense(diag, off), g)
-            else:
-                # Gershgorin shift keeps the fallback O(q) at large periods
-                radius = np.abs(off) + np.abs(np.roll(off, 1))
-                mu = max(0.0, -float((diag - radius).min())) + 1e-3 * max(1.0, float(np.abs(diag).max()))
-                s = solve_cyclic_tridiag_sym(diag + mu, off[:-1], float(off[-1]), -g)
-                if s is None or float(np.dot(g, s)) >= 0.0:
-                    s = -g
+            return x, res, True
+        diag, off = hessian_parts(x)
+        s = solve(diag, off, -g)
+        if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(x).max()):
+            s = fallback(diag, off, g)
         slope = float(np.dot(g, s))
         if slope >= 0.0:
             s = -g
             slope = -float(np.dot(g, g))
         if res < 1e-6:
             # quadratic basin: full steps, no action comparisons in noise
-            u = u + s
+            x[free] += s
             continue
-        w0 = prob.action_fast(u)
+        a0 = action(x)
         t = 1.0
         accepted = False
         while t >= 2.0 ** -40:
-            ut = u + t * s
-            if prob.action_fast(ut) <= w0 + 1e-4 * t * slope:
-                u = ut
+            xt = x.copy()
+            xt[free] += t * s
+            if action(xt) <= a0 + 1e-4 * t * slope:
+                x = xt
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
-            return u, res, False
+            return x, res, False
+    res = float(np.abs(gradient(x)).max())
+    return x, res, res < opts.tol
+
+
+def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
+    """Damped Newton in displacement coordinates; returns (u, residual_sup, ok)."""
+    u = np.array(u0, dtype=float)
+    q = prob.q
     res = float(np.abs(prob.gradient(u)).max())
-    return u, res, res < opts.tol
+
+    def solve(diag, off, rhs):
+        if q <= 3:
+            return None
+        return solve_cyclic_tridiag_sym(diag, off[:-1], float(off[-1]), rhs)
+
+    def fallback(diag, off, g):
+        if q <= 200:
+            return modified_newton_direction(tridiag_dense(diag, off), g)
+        # Gershgorin shift keeps the fallback O(q) at large periods
+        radius = np.abs(off) + np.abs(np.roll(off, 1))
+        mu = max(0.0, -float((diag - radius).min())) + 1e-3 * max(1.0, float(np.abs(diag).max()))
+        s = solve_cyclic_tridiag_sym(diag + mu, off[:-1], float(off[-1]), -g)
+        if s is None or float(np.dot(g, s)) >= 0.0:
+            s = -g
+        return s
+
+    return _damped_newton(u, slice(None), prob.gradient, prob.action_fast,
+                          prob.hessian_parts, solve, fallback, opts)
 
 
 def certify_psd_periodic_u(prob: PeriodicProblem, u, shift=1e-8):
@@ -455,39 +478,15 @@ def newton_segment(model, w0, n_fix_left, n_fix_right, opts: SolveOptions):
         raise ValueError("segment needs at least one clamped site per end")
     if hi <= lo:
         return w, 0.0, True
-    target = 0.25 * opts.tol
-    for _ in range(opts.max_iter):
-        g = segment_gradient(model, w, lo, hi)
-        res = float(np.abs(g).max())
-        if res < target:
-            return w, res, True
-        diag, off = segment_hessian_parts(model, w, lo, hi)
-        s = solve_tridiag_sym(diag, off, -g)
-        if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(w).max()):
-            s = modified_newton_direction(tridiag_dense(diag, off), g)
-        slope = float(np.dot(g, s))
-        if slope >= 0.0:
-            s = -g
-            slope = -float(np.dot(g, g))
-        if res < 1e-6:
-            w[lo:hi] += s
-            continue
-        a0 = _segment_action_fast(model, w, lo, hi)
-        t = 1.0
-        accepted = False
-        while t >= 2.0 ** -40:
-            wt = w.copy()
-            wt[lo:hi] += t * s
-            if _segment_action_fast(model, wt, lo, hi) <= a0 + 1e-4 * t * slope:
-                w = wt
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            return w, res, False
-    g = segment_gradient(model, w, lo, hi)
-    res = float(np.abs(g).max())
-    return w, res, res < opts.tol
+    return _damped_newton(
+        w, slice(lo, hi),
+        lambda x: segment_gradient(model, x, lo, hi),
+        lambda x: _segment_action_fast(model, x, lo, hi),
+        lambda x: segment_hessian_parts(model, x, lo, hi),
+        solve_tridiag_sym,
+        lambda diag, off, g: modified_newton_direction(tridiag_dense(diag, off), g),
+        opts,
+    )
 
 
 def certify_psd_segment(model, w, n_fix_left, n_fix_right, shift=1e-8):

@@ -8,8 +8,7 @@ variation; beta(p/q) is the certified action divided by q.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -202,16 +201,7 @@ def enumerate_minimizers(
     """Distinct minimizers modulo index shift and integer translation."""
     if starts < q:
         raise ValueError("starts must be at least q")
-    opts = options or SolveOptions()
-    opts = SolveOptions(
-        tol=opts.tol,
-        max_iter=opts.max_iter,
-        starts=starts,
-        jitter=opts.jitter,
-        seed=opts.seed,
-        psd_shift=opts.psd_shift,
-        action_tie=opts.action_tie,
-    )
+    opts = replace(options or SolveOptions(), starts=starts)
     points = solvers.solve_all_starts(model, p, q, opts)
     minima = [c for c in points if c.psd]
     if not minima and points:

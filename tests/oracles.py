@@ -6,12 +6,15 @@ descent instead of Newton, and direct grid sweeps for barriers.  Slow but
 simple, so the main library can be checked against them.  The last section
 keeps the dense and all-shifts linear-algebra paths that the solver's O(q)
 kernels replaced: dense Cholesky certificates, solve_banded solves and the
-class comparison over every index shift.
+class comparison over every index shift.  The final section keeps the two
+damped-Newton loops that the shared solver driver replaced, line for line.
 """
 
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
+
+from staircase_lab import solvers
 
 
 def fd_partials(model, x, xp, step=1e-5, step2=5e-4):
@@ -245,3 +248,104 @@ def class_distance_all_shifts(x1, x2, q):
         d = np.abs(d - np.round(d))
         best = min(best, float(d.max()))
     return best
+
+
+# ---- the two Newton loops replaced by the shared damped-Newton driver -------
+
+
+def newton_periodic_u_loop(prob, u0, opts):
+    """Damped Newton in displacement coordinates; returns (u, residual_sup, ok)."""
+    u = np.array(u0, dtype=float)
+    q = prob.q
+    target = 0.25 * opts.tol  # margin so re-evaluation stays under tol
+    res = float(np.abs(prob.gradient(u)).max())
+    for _ in range(opts.max_iter):
+        g = prob.gradient(u)
+        res = float(np.abs(g).max())
+        if res < target:
+            return u, res, True
+        diag, off = prob.hessian_parts(u)
+        if q <= 3:
+            s = None
+        else:
+            s = solvers.solve_cyclic_tridiag_sym(diag, off[:-1], float(off[-1]), -g)
+        if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(u).max()):
+            if q <= 200:
+                s = solvers.modified_newton_direction(solvers.tridiag_dense(diag, off), g)
+            else:
+                # Gershgorin shift keeps the fallback O(q) at large periods
+                radius = np.abs(off) + np.abs(np.roll(off, 1))
+                mu = max(0.0, -float((diag - radius).min())) + 1e-3 * max(1.0, float(np.abs(diag).max()))
+                s = solvers.solve_cyclic_tridiag_sym(diag + mu, off[:-1], float(off[-1]), -g)
+                if s is None or float(np.dot(g, s)) >= 0.0:
+                    s = -g
+        slope = float(np.dot(g, s))
+        if slope >= 0.0:
+            s = -g
+            slope = -float(np.dot(g, g))
+        if res < 1e-6:
+            # quadratic basin: full steps, no action comparisons in noise
+            u = u + s
+            continue
+        w0 = prob.action_fast(u)
+        t = 1.0
+        accepted = False
+        while t >= 2.0 ** -40:
+            ut = u + t * s
+            if prob.action_fast(ut) <= w0 + 1e-4 * t * slope:
+                u = ut
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            return u, res, False
+    res = float(np.abs(prob.gradient(u)).max())
+    return u, res, res < opts.tol
+
+
+def newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts):
+    """Minimize the segment action over interior sites with clamped ends.
+
+    w0 holds all site values; the first n_fix_left and last n_fix_right stay
+    fixed.  Returns (w, residual_sup, converged); residual over free sites.
+    """
+    w = np.array(w0, dtype=float)
+    n = len(w)
+    lo, hi = n_fix_left, n - n_fix_right
+    if n_fix_left < 1 or n_fix_right < 1:
+        raise ValueError("segment needs at least one clamped site per end")
+    if hi <= lo:
+        return w, 0.0, True
+    target = 0.25 * opts.tol
+    for _ in range(opts.max_iter):
+        g = solvers.segment_gradient(model, w, lo, hi)
+        res = float(np.abs(g).max())
+        if res < target:
+            return w, res, True
+        diag, off = solvers.segment_hessian_parts(model, w, lo, hi)
+        s = solvers.solve_tridiag_sym(diag, off, -g)
+        if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(w).max()):
+            s = solvers.modified_newton_direction(solvers.tridiag_dense(diag, off), g)
+        slope = float(np.dot(g, s))
+        if slope >= 0.0:
+            s = -g
+            slope = -float(np.dot(g, g))
+        if res < 1e-6:
+            w[lo:hi] += s
+            continue
+        a0 = solvers._segment_action_fast(model, w, lo, hi)
+        t = 1.0
+        accepted = False
+        while t >= 2.0 ** -40:
+            wt = w.copy()
+            wt[lo:hi] += t * s
+            if solvers._segment_action_fast(model, wt, lo, hi) <= a0 + 1e-4 * t * slope:
+                w = wt
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            return w, res, False
+    g = solvers.segment_gradient(model, w, lo, hi)
+    res = float(np.abs(g).max())
+    return w, res, res < opts.tol

@@ -216,5 +216,6 @@ def test_cache_get_put_wrappers(tmp_path, k2, half_config):
 def test_record_path_normalizes_and_validates():
     cache = ch.BetaCache("unused")
     assert cache.record_path("h", 2, 4) == Path("unused") / "h" / "1_2.json"
+    assert cache.record_path("h", 1, -2) == Path("unused") / "h" / "-1_2.json"
     with pytest.raises(ValueError):
         cache.record_path("h", 1, 0)

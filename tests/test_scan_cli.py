@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import staircase_lab
 from staircase_lab import __version__
 from staircase_lab import scan as sc
 from staircase_lab.cli import main
@@ -248,6 +249,42 @@ def test_warm_cache_run_is_identical(k0_scan, tmp_path):
     assert digest_dir(out) == digest_dir(tmp_path / "warm")
 
 
+FOURIER_TEXT = """
+[model]
+family = fourier-potential
+a = 0.8
+[harmonic]
+order = 1
+cos_amp = -0.3
+sin_amp = 0.1
+[harmonic]
+order = 2
+cos_amp = 0.05
+sin_amp = -0.04
+
+[scan]
+q_max = 3
+c_grid = 21
+"""
+
+
+def digest_tree(d):
+    return {str(f.relative_to(d)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(Path(d).rglob("*")) if f.is_file()}
+
+
+def test_scan_artifacts_identical_at_one_and_two_workers(tmp_path):
+    config = parse_scan_config(FOURIER_TEXT)
+    digests = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        code, _ = run_scan(dataclasses.replace(config, workers=workers, out_dir=str(out)))
+        assert code == 0
+        digests.append(digest_tree(out))
+    assert any(name.startswith("cache/") for name in digests[0])
+    assert digests[0] == digests[1]
+
+
 def test_scan_requires_out_dir():
     cfg = parse_scan_config(K0_TEXT)
     with pytest.raises(ConfigError):
@@ -406,6 +443,22 @@ def test_cli_probe_kam(capsys, tmp_path):
     assert record["failures"] == []
 
 
+def test_probe_kam_prints_the_scan_probe_records(capsys, tmp_path):
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text("[model]\nfamily = frenkel-kontorova\nk = 0.5\n"
+                   "[scan]\nq_max = 4\nc_grid = 21\n"
+                   f"cache_dir = {tmp_path / 'cache'}\nout_dir = {tmp_path / 'scan'}\n"
+                   "[probe]\ncf = 0,1,1,1,1,1,1,1,1,1,1,1,1,1\n"
+                   "rho_lo = 0.5\nrho_hi = 0.7\n")
+    assert main(["scan", str(cfg)]) == 0
+    report = json.loads((tmp_path / "scan" / "report.json").read_text())
+    capsys.readouterr()
+    assert main(["probe-kam", str(cfg)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["probes"] and record["probes"] == report["results"]["probes"]
+    assert record["ac_part"] == report["results"]["ac_part"]
+
+
 def test_cli_env_var_sets_cache_dir(tmp_path, monkeypatch, capsys, k0_model_file):
     env_cache = tmp_path / "envcache"
     monkeypatch.setenv("STAIRCASE_LAB_CACHE", str(env_cache))
@@ -429,9 +482,13 @@ def test_console_script_entry_point(tmp_path):
     cfg.write_text("[model]\nfamily = frenkel-kontorova\nk = 0.0\n"
                    "[scan]\nq_max = 3\nc_grid = 11\n")
     out = tmp_path / "out"
+    # run the package under test, not whichever copy is installed
+    src = str(Path(staircase_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "staircase_lab.cli", "scan", str(cfg),
          "--out-dir", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").exists()
