@@ -27,6 +27,8 @@ from .scan import (
     flatness_csv_rows,
     flatness_record,
     parse_scan_config,
+    pool_solves,
+    probe_rationals,
     probe_records,
     run_scan,
     scan_rationals,
@@ -204,10 +206,12 @@ def _cmd_probe_kam(args) -> int:
     cache_dir = config.cache_dir
     cache = BetaCache(cache_dir) if cache_dir else None
     options = SolveOptions(seed=config.seed)
+    tasks = scan_rationals(config)
+    pooled = pool_solves(config, cache, tasks + probe_rationals(config))
     table = BetaTable.bind(model, config.h_lo, config.h_hi,
-                           cache=cache, options=options)
+                           cache=cache, options=options, pooled=pooled)
     failures: list[dict] = []
-    fill_table(table, cache, config, scan_rationals(config), failures)
+    fill_table(table, config, tasks, failures)
 
     report = {
         "model": {"hash": model.model_hash, **model.to_config_dict()},

@@ -37,11 +37,13 @@ class TranslateLadder:
     """The q+1 ordered integer translates of a periodic minimizer.
 
     Entry r is the translate whose site-0 value is the r-th smallest in
-    [x_0, x_0 + 1); entry q is entry 0 shifted up by one lattice unit.
+    [x_0, x_0 + 1); entry q is entry 0 shifted up by one lattice unit.  A
+    given config (the minimizer of p/q) is used instead of solving for it.
     """
 
-    def __init__(self, model, p: int, q: int, options=None):
-        cfg = variational.minimize_periodic(model, p, q, options)
+    def __init__(self, model, p: int, q: int, options=None, config=None):
+        cfg = config if config is not None else variational.minimize_periodic(
+            model, p, q, options)
         gap = hyperbolicity.phonon_gap(model, cfg)
         if gap < PHONON_GAP_FLOOR:
             raise DegenerateFamily(
@@ -187,6 +189,22 @@ def heteroclinic_segment(model, p: int, q: int, gap: int, T: int,
     )
 
 
+def loop_t_grid(q: int, T_list=None) -> list[int]:
+    """The sorted, distinct T of a flatness curve (default: DEFAULT_T_GRID
+    within the loop site cap)."""
+    if T_list is None:
+        T_list = [T for T in DEFAULT_T_GRID if 2 * T * q <= MAX_LOOP_SITES]
+    T_list = sorted(set(int(T) for T in T_list))
+    if not T_list or T_list[0] < 1:
+        raise ValueError("T grid must contain positive integers")
+    return T_list
+
+
+def loop_rational(p: int, q: int, T: int) -> Fraction:
+    """Rotation number p/q + 1/(2Tq) of the T-loop."""
+    return Fraction(2 * T * p + 1, 2 * T * q)
+
+
 @dataclass
 class LoopResult:
     p: int
@@ -199,20 +217,22 @@ class LoopResult:
     deformation_cost: float
 
 
-def concatenate_loop(model, p: int, q: int, T: int, options=None) -> LoopResult:
+def concatenate_loop(model, p: int, q: int, T: int, options=None,
+                     config=None) -> LoopResult:
     """Loop of 2Tq sites crossing all q gaps once: rotation p/q + 1/(2Tq).
 
     Segment k is solved on a window wider than [t_k - T, t_k + T] around its
     center t_k = 2(k-1)T, then truncated and linearly deformed onto the
     periodic lifts over tau = min(q, T) sites at each end, so consecutive
-    segments agree at the shared junction sites exactly.
+    segments agree at the shared junction sites exactly.  config, the
+    minimizer of p/q, spares the ladder its solve when the caller has it.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     N = 2 * T * q
     if N > MAX_LOOP_SITES:
         raise ValueError(f"loop of {N} sites exceeds cap {MAX_LOOP_SITES}")
-    ladder = TranslateLadder(model, p, q, options)
+    ladder = TranslateLadder(model, p, q, options, config)
     margin = max(2 * q, 4)
     tau = min(q, T)
     loop_sites = np.arange(-T, (2 * q - 1) * T + 1)
@@ -238,7 +258,7 @@ def concatenate_loop(model, p: int, q: int, T: int, options=None) -> LoopResult:
     total = math.fsum(np.asarray(model.eval_h(z[:-1], z[1:]), dtype=float).tolist())
     return LoopResult(
         p=p, q=q, T=T, positions=z, sites=loop_sites,
-        rotation=Fraction(2 * T * p + 1, 2 * T * q),
+        rotation=loop_rational(p, q, T),
         action_per_site=total / N,
         deformation_cost=total - math.fsum(raw_action),
     )
@@ -318,11 +338,7 @@ def flatness_curve(model, p: int, q: int, T_list=None, table: BetaTable | None =
     exceed the site cap.
     """
     p, q = normalize_rational(p, q)
-    if T_list is None:
-        T_list = [T for T in DEFAULT_T_GRID if 2 * T * q <= MAX_LOOP_SITES]
-    T_list = sorted(set(int(T) for T in T_list))
-    if not T_list or T_list[0] < 1:
-        raise ValueError("T grid must contain positive integers")
+    T_list = loop_t_grid(q, T_list)
     if table is None:
         table = BetaTable.bind(model)
     _, c_plus, _ = table.refine_until(p, q, width=1e-12, max_depth=40)
@@ -334,7 +350,7 @@ def flatness_curve(model, p: int, q: int, T_list=None, table: BetaTable | None =
 
     deltas, u_values, zeta_upper, included = [], [], [], []
     for T in T_list:
-        r = Fraction(2 * T * p + 1, 2 * T * q)
+        r = loop_rational(p, q, T)
         delta = float(r - Fraction(p, q))
         u = table.beta_frac(r) - beta0 - c_plus * delta
         if u < -1e-9:
@@ -343,7 +359,7 @@ def flatness_curve(model, p: int, q: int, T_list=None, table: BetaTable | None =
             )
         zu = math.nan
         if with_zeta and hyperbolic and 2 * T * q <= MAX_LOOP_SITES:
-            loop = concatenate_loop(model, p, q, T, options)
+            loop = concatenate_loop(model, p, q, T, options, config=cfg)
             zu = loop.action_per_site
         deltas.append(delta)
         u_values.append(u)

@@ -4,9 +4,16 @@ A scan walks the Farey grid up to Q_max, fills the beta cache, measures
 locking intervals and the completeness ratio L(Q) along a dyadic ladder,
 evaluates truncated variation/Hausdorff estimators, and runs any requested
 flatness curves and KAM-regime probes.  Results land in a fixed set of CSV
-files plus a canonical report.json.  With a fixed seed and workers = 1 two
-runs produce byte-identical artifacts, and a warm cache changes nothing but
-the wall time.
+files plus a canonical report.json.
+
+With workers > 1, every solve that no earlier result decides (work_list) runs
+first in a process pool; the results stay in memory and the serial pass,
+which is the whole scan at workers = 1, takes them on its cache misses
+instead of solving.  Only the adaptive refinement of a flatness slope and
+the one configuration a flatness curve builds its loops on are solved in the
+serial pass.  With a fixed seed two runs produce byte-identical
+artifacts and cache records at any worker count, and a warm cache changes
+nothing but the wall time.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .cache import BetaCache, render_json
-from .errors import ConfigError, StaircaseLabError
-from .flatness import flatness_bound, flatness_curve
+from .errors import ConfigError, InsufficientSamples, StaircaseLabError
+from .flatness import flatness_bound, flatness_curve, loop_rational, loop_t_grid
 from .model import GeneratingModel, model_from_sections, parse_float, parse_sections
 from .solvers import SolveOptions
 from .staircase import (
@@ -32,10 +39,14 @@ from .staircase import (
     ac_part_probe,
     completeness_measure,
     convexity_probe,
+    estimator_rationals,
     hausdorff_estimator,
     legendre,
     locking_intervals,
     mediant_chain,
+    normalize_rational,
+    probe_convergents,
+    shifted_rational,
     variation_estimator,
 )
 from .variational import minimize_periodic
@@ -285,9 +296,80 @@ def scan_rationals(config: ScanConfig) -> list[tuple[int, int]]:
     return _sorted_pairs(full)
 
 
+def _with_secants(rats: set, p: int, q: int) -> None:
+    """Adds p/q and the mediants its depth-DERIVATIVE_DEPTH one-sided slopes read."""
+    rats.add(Fraction(p, q))
+    for side in ("left", "right"):
+        for j in (DERIVATIVE_DEPTH - 1, DERIVATIVE_DEPTH):
+            rats.add(mediant_chain(p, q, side, j))
+
+
+def probe_rationals(config: ScanConfig) -> list[tuple[int, int]]:
+    """The convergents every [probe] samples (none for a probe that has too few)."""
+    rats = set()
+    for target in config.probes:
+        try:
+            _, left, right = probe_convergents(target.cf, target.delta)
+        except InsufficientSamples:
+            continue
+        rats.update(Fraction(p, q) for p, q in left + right)
+    return _sorted_pairs(rats)
+
+
+def work_list(config: ScanConfig) -> list[tuple[int, int]]:
+    """Every rational the scan solves that no earlier result decides.
+
+    The grid and its mediant chains; for each ladder Q and estimator term p/q,
+    p/q with the mediants its one-sided slope reads and its shifted rational
+    for each nu; the probe convergents; and for each flatness target, p/q with
+    the mediants of its first refinement step and its loop rationals.  The
+    deeper refinement mediants, which depend on the bracket widths, are left
+    to the serial pass.
+    """
+    rats = {Fraction(p, q) for p, q in scan_rationals(config) + probe_rationals(config)}
+    if config.nus:
+        for Q in _dyadic_ladder(config.q_max):
+            for p, q in estimator_rationals(Q, config.estimator_q):
+                _with_secants(rats, p, q)
+                rats.update(shifted_rational(p, q, nu) for nu in config.nus)
+    for target in config.flatness_targets:
+        p, q = normalize_rational(target.p, target.q)
+        _with_secants(rats, p, q)
+        rats.update(loop_rational(p, q, T) for T in loop_t_grid(q, target.t_grid))
+    return _sorted_pairs(rats)
+
+
 def _beta_task(model: GeneratingModel, p: int, q: int, seed: int):
     """Worker-side solve; returns the configuration so the parent owns all writes."""
     return minimize_periodic(model, p, q, SolveOptions(seed=seed))
+
+
+def pool_solves(config: ScanConfig, cache: BetaCache | None, rationals) -> dict:
+    """Solves the rationals without a cache record in a process pool.
+
+    Returns {(p, q): configuration or typed error} for BetaTable.bind(...,
+    pooled=...), or {} with workers = 1.  Nothing is written here: the serial
+    pass takes each result on its cache miss and writes it as it would a solve
+    of its own, so the cache holds the same records at any worker count, and a
+    rational that failed in the pool re-raises its error instead of being
+    solved again.
+    """
+    if config.workers < 2:
+        return {}
+    todo = [(p, q) for p, q in rationals
+            if cache is None or not cache.record_path(config.model.model_hash, p, q).exists()]
+    if len(todo) < 2:
+        return {}
+    todo.sort(key=lambda r: -r[1])  # long periods first, to even out the workers
+    pooled = {}
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        futures = {r: pool.submit(_beta_task, config.model, *r, config.seed) for r in todo}
+        for r, fut in futures.items():
+            try:
+                pooled[r] = fut.result()
+            except StaircaseLabError as exc:
+                pooled[r] = exc
+    return pooled
 
 
 # ---- csv / json rendering -------------------------------------------------------
@@ -382,27 +464,17 @@ def _dyadic_ladder(q_max: int) -> list[int]:
     return sorted(set(ladder))
 
 
-def fill_table(table: BetaTable, cache: BetaCache | None, config: ScanConfig,
-               tasks, failures, derivative_targets=None) -> None:
-    """Solves every (p,q) task into the table, then certifies one-sided
+def fill_table(table: BetaTable, config: ScanConfig, tasks, failures,
+               derivative_targets=None) -> None:
+    """Enters every (p,q) task into the table, then certifies one-sided
     derivatives on derivative_targets (default: the base rationals).
 
-    With workers > 1 the solves are farmed to a process pool and committed to
-    the cache in task order; the serial pass afterwards then hits the warm
-    cache.  Failures are recorded only by the serial pass, so the failure
-    list is identical for any worker count.
+    This is the serial pass: a table bound to pool_solves results takes them
+    on its cache misses, so failures are recorded here alone, in task order,
+    and the list is identical for any worker count.
     """
     if derivative_targets is None:
         derivative_targets = base_rationals(config)
-    if config.workers > 1 and cache is not None and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_beta_task, config.model, p, q, config.seed)
-                       for p, q in tasks]
-            for fut in futures:
-                try:
-                    cache.put(config.model, fut.result())
-                except StaircaseLabError:
-                    continue
     for p, q in tasks:
         try:
             table.beta(p, q)
@@ -466,12 +538,14 @@ def _run_scan_inner(config: ScanConfig, out: Path, report: dict) -> int:
     cache_dir = config.cache_dir or str(out / "cache")
     cache = BetaCache(cache_dir)
     options = SolveOptions(seed=config.seed)
-    table = BetaTable.bind(model, config.h_lo, config.h_hi, cache=cache, options=options)
+    pooled = pool_solves(config, cache, work_list(config))
+    table = BetaTable.bind(model, config.h_lo, config.h_hi, cache=cache, options=options,
+                           pooled=pooled)
 
     failures: list[dict] = []
     results = report["results"]
     tasks = scan_rationals(config)
-    fill_table(table, cache, config, tasks, failures)
+    fill_table(table, config, tasks, failures)
 
     window = cohomology_window(table, config, failures)
     ladder = _dyadic_ladder(config.q_max)

@@ -280,7 +280,6 @@ def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
     """Damped Newton in displacement coordinates; returns (u, residual_sup, ok)."""
     u = np.array(u0, dtype=float)
     q = prob.q
-    res = float(np.abs(prob.gradient(u)).max())
 
     def solve(diag, off, rhs):
         if q <= 3:

@@ -154,9 +154,12 @@ class BetaTable:
         self.convexity_verified = False
 
     @classmethod
-    def bind(cls, model, h_lo: float = 0.0, h_hi: float = 1.0, cache=None, options=None):
+    def bind(cls, model, h_lo: float = 0.0, h_hi: float = 1.0, cache=None, options=None,
+             pooled=None):
+        """Solver-backed table; cache and pooled are handed to beta_at."""
+
         def fn(p, q):
-            return beta_at(model, p, q, cache=cache, options=options)
+            return beta_at(model, p, q, cache=cache, options=options, pooled=pooled)
 
         return cls(fn, model.model_hash, h_lo, h_hi)
 
@@ -416,10 +419,18 @@ def completeness_measure(intervals, c1: float, c2: float) -> float:
 # ---- truncated estimators ----------------------------------------------------
 
 
-def _shifted_rational(p: int, q: int, nu: float) -> Fraction:
+def shifted_rational(p: int, q: int, nu: float) -> Fraction:
     """Closest rational with bounded denominator to p/q + q^-(1+nu)."""
     t = p / q + q ** (-(1.0 + nu))
     return Fraction(t).limit_denominator(DENOMINATOR_CAP)
+
+
+def estimator_rationals(Q: int, q_max: int | None) -> list[tuple[int, int]]:
+    """The p/q in (0, 1] with Q < q <= q_max (default 2Q) that carry an
+    estimator term, in (q, p) order."""
+    hi = 2 * Q if q_max is None else q_max
+    return [(p, q) for q in range(Q + 1, hi + 1) for p in range(1, q + 1)
+            if math.gcd(p, q) == 1]
 
 
 def _estimator_terms(table: BetaTable, nu: float, Q: int, q_max: int | None):
@@ -431,21 +442,17 @@ def _estimator_terms(table: BetaTable, nu: float, Q: int, q_max: int | None):
     """
     if not 0.0 < nu < 1.0:
         raise ValueError(f"nu must be in (0,1), got {nu}")
-    hi = 2 * Q if q_max is None else q_max
     terms = []
-    for q in range(Q + 1, hi + 1):
-        for p in range(1, q + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            r_hat = _shifted_rational(p, q, nu)
-            delta = float(r_hat - Fraction(p, q))
-            cp = table.one_sided(p, q)[1]
-            bracket = table.beta_frac(r_hat) - table.beta(p, q) - cp * delta
-            if bracket < -1e-9:
-                raise NonconvexTerm(
-                    f"negative estimator term {bracket:.3e} at {p}/{q}"
-                )
-            terms.append((q ** (1.0 + nu)) * max(bracket, 0.0))
+    for p, q in estimator_rationals(Q, q_max):
+        r_hat = shifted_rational(p, q, nu)
+        delta = float(r_hat - Fraction(p, q))
+        cp = table.one_sided(p, q)[1]
+        bracket = table.beta_frac(r_hat) - table.beta(p, q) - cp * delta
+        if bracket < -1e-9:
+            raise NonconvexTerm(
+                f"negative estimator term {bracket:.3e} at {p}/{q}"
+            )
+        terms.append((q ** (1.0 + nu)) * max(bracket, 0.0))
     return terms
 
 
@@ -478,16 +485,11 @@ class ProbeResult:
     n_samples: int
 
 
-def convexity_probe(table: BetaTable, cf=GOLDEN_CF, delta: float = 0.3,
-                    den_cap: int = DENOMINATOR_CAP, min_samples: int = 5) -> ProbeResult:
-    """Quadratic envelope c_low*(rho-h)^2 <= beta - support line <= C_high*(rho-h)^2.
-
-    h is a continued-fraction target sampled at its convergents.  The support
-    slope comes from the two finest straddling secant pairs extrapolated in
-    their midpoint offset (exact for quadratic beta); the intercept is the
-    lowest sample value of beta - slope*(rho - h).  The two finest samples pin
-    the intercept, so they are excluded from the envelope ratios.
-    """
+def probe_convergents(cf=GOLDEN_CF, delta: float = 0.3, den_cap: int = DENOMINATOR_CAP,
+                      min_samples: int = 5):
+    """(h, left, right): the value h of cf and its convergents within delta of
+    h on each side, nearest first; raises InsufficientSamples when a side has
+    fewer than two or both together fewer than min_samples + 2."""
     h = cf_value(cf)
     convs = [r for r in cf_convergents(cf, den_cap) if abs(r[0] / r[1] - h) < delta]
     left = [(p, q) for p, q in convs if p / q < h]
@@ -499,6 +501,20 @@ def convexity_probe(table: BetaTable, cf=GOLDEN_CF, delta: float = 0.3,
         )
     left.sort(key=lambda r: abs(r[0] / r[1] - h))
     right.sort(key=lambda r: abs(r[0] / r[1] - h))
+    return h, left, right
+
+
+def convexity_probe(table: BetaTable, cf=GOLDEN_CF, delta: float = 0.3,
+                    den_cap: int = DENOMINATOR_CAP, min_samples: int = 5) -> ProbeResult:
+    """Quadratic envelope c_low*(rho-h)^2 <= beta - support line <= C_high*(rho-h)^2.
+
+    h is a continued-fraction target sampled at its convergents.  The support
+    slope comes from the two finest straddling secant pairs extrapolated in
+    their midpoint offset (exact for quadratic beta); the intercept is the
+    lowest sample value of beta - slope*(rho - h).  The two finest samples pin
+    the intercept, so they are excluded from the envelope ratios.
+    """
+    h, left, right = probe_convergents(cf, delta, den_cap, min_samples)
 
     def straddle_slope(i):
         pl, ql = left[i]

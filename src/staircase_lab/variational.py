@@ -112,16 +112,27 @@ def beta_at(
     q: int,
     cache=None,
     options: SolveOptions | None = None,
+    pooled: dict | None = None,
 ) -> float:
-    """Minimal action average beta(p/q); consults the cache when given."""
+    """Minimal action average beta(p/q); consults the cache when given.
+
+    pooled maps (p, q) to the configuration, or the typed error, of a solve
+    done ahead of time (the scan's process pool).  A cache miss takes that
+    result instead of solving, re-raising a recorded error, and is then
+    written to the cache as a fresh solve would be.
+    """
     if cache is not None:
         hit = cache.get(model, p, q)
         if hit is not None:
             return hit.action_total / q
+    cfg = pooled.get((p, q)) if pooled else None
+    if isinstance(cfg, Exception):
+        raise cfg
+    if cfg is None:
         cfg = minimize_periodic(model, p, q, options)
+    if cache is not None:
         cache.put(model, cfg)
-        return cfg.beta
-    return minimize_periodic(model, p, q, options).beta
+    return cfg.beta
 
 
 def rotation_number(positions) -> float:

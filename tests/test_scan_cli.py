@@ -19,6 +19,7 @@ from staircase_lab import scan as sc
 from staircase_lab.cli import main
 from staircase_lab.errors import ConfigError, NoConvergence
 from staircase_lab.scan import parse_scan_config, run_scan
+from staircase_lab.staircase import DERIVATIVE_DEPTH, mediant_chain, shifted_rational
 
 K0_TEXT = """
 [model]
@@ -273,8 +274,70 @@ def digest_tree(d):
             for f in sorted(Path(d).rglob("*")) if f.is_file()}
 
 
-def test_scan_artifacts_identical_at_one_and_two_workers(tmp_path):
-    config = parse_scan_config(FOURIER_TEXT)
+# every stage that reads beta: estimators, a probe and a flatness curve
+POOL_TEXT = FOURIER_TEXT + """nu = 0.5
+theta = 0.5
+estimator_q = 4
+
+[flatness]
+p = 0
+q = 1
+t_grid = 1, 2
+
+[probe]
+cf = 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1
+rho_lo = 0.5
+rho_hi = 0.7
+"""
+
+
+@pytest.fixture
+def pool_submits(monkeypatch):
+    """Counts the tasks the scan submits to its process pool."""
+    counts = []
+
+    class CountingPool(sc.ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            counts.append(args[1:3])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(sc, "ProcessPoolExecutor", CountingPool)
+    return counts
+
+
+def test_work_list_is_what_the_serial_scan_solves(tmp_path, monkeypatch):
+    from staircase_lab import staircase as stair_mod
+    real = stair_mod.beta_at
+    solved = set()
+
+    def recording(model, p, q, **kwargs):
+        solved.add((p, q))
+        return real(model, p, q, **kwargs)
+
+    monkeypatch.setattr(stair_mod, "beta_at", recording)
+    config = dataclasses.replace(parse_scan_config(POOL_TEXT), out_dir=str(tmp_path))
+    code, report = run_scan(config)
+    assert code == 0 and report["results"]["failures"] == []
+    assert report["results"]["probes"] and report["results"]["flatness"]
+
+    listed = set(sc.work_list(config))
+    assert listed - solved == set()
+    assert set(sc.scan_rationals(config)) < listed
+    assert set(sc.probe_rationals(config)) <= listed
+    assert {(r.numerator, r.denominator) for r in
+            (shifted_rational(1, 4, 0.5), shifted_rational(3, 4, 0.5))} <= listed
+    # only flatness_curve's adaptive refinement, past its first step, is unlisted
+    deeper = {(m.numerator, m.denominator)
+              for t in config.flatness_targets for side in ("left", "right")
+              for j in range(DERIVATIVE_DEPTH + 1, 41)
+              for m in [mediant_chain(t.p, t.q, side, j)]}
+    assert solved - listed and solved - listed <= deeper
+
+
+def _identical_at_one_and_two_workers(tmp_path, pool_submits, text):
+    """Cold runs at workers 1 and 2, then a warm re-run at 2: the same bytes
+    (CSVs, report.json, cache records) each time, and no pool for the warm run."""
+    config = parse_scan_config(text)
     digests = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
@@ -283,6 +346,52 @@ def test_scan_artifacts_identical_at_one_and_two_workers(tmp_path):
         digests.append(digest_tree(out))
     assert any(name.startswith("cache/") for name in digests[0])
     assert digests[0] == digests[1]
+    assert sorted(pool_submits) == sorted(sc.work_list(config))
+
+    pool_submits.clear()
+    code, _ = run_scan(dataclasses.replace(config, workers=2, out_dir=str(tmp_path / "w2")))
+    assert code == 0
+    assert pool_submits == []
+    assert digest_tree(tmp_path / "w2") == digests[0]
+
+
+def test_scan_artifacts_identical_at_one_and_two_workers(tmp_path, pool_submits):
+    _identical_at_one_and_two_workers(tmp_path, pool_submits, FOURIER_TEXT)
+
+
+def test_all_stage_scan_artifacts_identical_at_one_and_two_workers(tmp_path, pool_submits):
+    _identical_at_one_and_two_workers(tmp_path, pool_submits, POOL_TEXT)
+
+
+def test_pool_failure_is_attempted_once(tmp_path, monkeypatch, pool_submits):
+    from staircase_lab import solvers
+    real = solvers.best_minimizer
+    attempts = tmp_path / "attempts"
+
+    def failing(model, p, q, *args, **kwargs):
+        if (p, q) == (1, 3):
+            with open(attempts, "a") as fh:  # appended from whichever process solves
+                fh.write(f"{os.getpid()}\n")
+            raise NoConvergence("injected failure at 1/3")
+        return real(model, p, q, *args, **kwargs)
+
+    # pool workers are forked after this, so they inherit the patch
+    monkeypatch.setattr(solvers, "best_minimizer", failing)
+    config = parse_scan_config(FOURIER_TEXT)
+    failures, pids = {}, {}
+    for workers in (1, 2):
+        attempts.write_text("")
+        code, report = run_scan(dataclasses.replace(
+            config, workers=workers, out_dir=str(tmp_path / f"w{workers}")))
+        assert code == 0
+        failures[workers] = report["results"]["failures"]
+        pids[workers] = attempts.read_text().split()
+    assert (1, 3) in pool_submits
+    assert len(pids[2]) == 1 and pids[2][0] != str(os.getpid())
+    assert len(pids[1]) >= 1
+    assert any(f.get("p") == 1 and f.get("q") == 3 for f in failures[1])
+    assert failures[2] == failures[1]
+    assert digest_tree(tmp_path / "w1") == digest_tree(tmp_path / "w2")
 
 
 def test_scan_requires_out_dir():
@@ -298,10 +407,10 @@ def test_failing_rational_is_recorded_and_isolated(tmp_path, monkeypatch):
     from staircase_lab import staircase as stair_mod
     real = stair_mod.beta_at
 
-    def flaky(model, p, q, cache=None, options=None):
+    def flaky(model, p, q, **kwargs):
         if (p, q) == (1, 3):
             raise NoConvergence("injected failure at 1/3")
-        return real(model, p, q, cache=cache, options=options)
+        return real(model, p, q, **kwargs)
 
     monkeypatch.setattr(stair_mod, "beta_at", flaky)
     cfg = dataclasses.replace(
