@@ -23,16 +23,14 @@ from .scan import (
     ScanConfig,
     ac_part_record,
     cohomology_window,
-    fill_table,
-    flatness_csv_rows,
     flatness_record,
+    grid_table,
     parse_scan_config,
-    pool_solves,
     probe_rationals,
     probe_records,
     run_scan,
     scan_rationals,
-    write_csv,
+    write_flatness_csv,
     write_report,
 )
 from .solvers import SolveOptions
@@ -168,9 +166,7 @@ def _cmd_flatness(args) -> int:
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / f"flatness_{curve.p}_{curve.q}.csv",
-                  ("T", "delta", "u", "zeta_upper", "bound_value"),
-                  flatness_csv_rows(curve))
+        write_flatness_csv(out, curve)
     print(render_json(flatness_record(curve)))
     return 0
 
@@ -202,17 +198,8 @@ def _cmd_pn_barrier(args) -> int:
 def _cmd_probe_kam(args) -> int:
     config = _load_config(args, require_scan=False)
     model = config.model
-    model.check_twist()
-    cache_dir = config.cache_dir
-    cache = BetaCache(cache_dir) if cache_dir else None
-    options = SolveOptions(seed=config.seed)
-    tasks = scan_rationals(config)
-    pooled = pool_solves(config, cache, tasks + probe_rationals(config))
-    table = BetaTable.bind(model, config.h_lo, config.h_hi,
-                           cache=cache, options=options, pooled=pooled)
-    failures: list[dict] = []
-    fill_table(table, config, tasks, failures)
-
+    cache = BetaCache(config.cache_dir) if config.cache_dir else None
+    table, failures = grid_table(config, cache, scan_rationals(config) + probe_rationals(config))
     report = {
         "model": {"hash": model.model_hash, **model.to_config_dict()},
         "config_digest": config.config_digest,

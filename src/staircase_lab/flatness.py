@@ -13,7 +13,7 @@ C*q*delta*exp(-lambda/(4*q*delta)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,11 +26,6 @@ PHONON_GAP_FLOOR = 1e-6
 SEGMENT_RESIDUAL = 1e-10
 MAX_LOOP_SITES = 4096
 DEFAULT_T_GRID = (2, 4, 8, 16, 32)
-
-
-def _lift(x: np.ndarray, p: int, q: int, i: int) -> float:
-    """Value of the q-site lift extended by x[i+q] = x[i] + p."""
-    return float(x[i % q] + p * (i // q))
 
 
 class TranslateLadder:
@@ -50,11 +45,9 @@ class TranslateLadder:
                 f"phonon gap {gap:.3e} below {PHONON_GAP_FLOOR} at {p}/{q}: "
                 "translates form a continuum, no gaps to cross"
             )
-        self.model = model
         self.p = p
         self.q = q
         self.config = cfg
-        self.phonon_gap = gap
         x = np.asarray(cfg.positions, dtype=float)
         entries = []
         for j in range(q):
@@ -62,16 +55,17 @@ class TranslateLadder:
             entries.append((x[j] + m, j, m))
         entries.sort()
         self._entries = [(j, m) for _, j, m in entries]
-        self._x = x
-
-    def value(self, rung: int, i: int) -> float:
-        """Lift value of translate `rung` (0..q, and beyond by periodicity) at site i."""
-        unit, r = divmod(rung, self.q)
-        j, m = self._entries[r]
-        return _lift(self._x, self.p, self.q, i + j) + m + unit
 
     def values(self, rung: int, sites) -> np.ndarray:
-        return np.array([self.value(rung, int(i)) for i in sites])
+        """Lift values of translate `rung` (0..q, and beyond by periodicity) at
+        the sites, extending the period by x[i+q] = x[i] + p."""
+        unit, r = divmod(rung, self.q)
+        j, m = self._entries[r]
+        i = np.asarray(sites, dtype=np.int64) + j
+        return self.config.positions[i % self.q] + self.p * (i // self.q) + m + unit
+
+    def value(self, rung: int, i: int) -> float:
+        return float(self.values(rung, [i])[0])
 
 
 @dataclass
@@ -289,12 +283,7 @@ class FlatnessCurve:
     lambda_monodromy: float
     bound_verdict: bool
     verdict: str
-    alpha_at_c_plus: float = 0.0
-    samples: list = field(default_factory=list)
-
-    @property
-    def fit(self):
-        return (self.C_fit, self.lambda_fit)
+    samples: list
 
 
 def fit_tail_decay(segment: HeteroclinicSegment, floor: float = 1e-14):
@@ -326,7 +315,7 @@ def _fit_line(xs, ys):
 
 
 def flatness_curve(model, p: int, q: int, T_list=None, table: BetaTable | None = None,
-                   options=None, with_zeta: bool = True) -> FlatnessCurve:
+                   options=None) -> FlatnessCurve:
     """Sample u(delta) on the integer-T grid and fit the exponential envelope.
 
     c_plus comes from deep mediant refinement (the q=1 chain converges slowly,
@@ -340,7 +329,7 @@ def flatness_curve(model, p: int, q: int, T_list=None, table: BetaTable | None =
     p, q = normalize_rational(p, q)
     T_list = loop_t_grid(q, T_list)
     if table is None:
-        table = BetaTable.bind(model)
+        table = BetaTable.bind(model, options=options)
     _, c_plus, _ = table.refine_until(p, q, width=1e-12, max_depth=40)
     beta0 = table.beta(p, q)
     cfg = variational.minimize_periodic(model, p, q, options)
@@ -358,7 +347,7 @@ def flatness_curve(model, p: int, q: int, T_list=None, table: BetaTable | None =
                 f"u({delta:.3e}) = {u:.3e} at {p}/{q}: c_plus or beta inconsistent"
             )
         zu = math.nan
-        if with_zeta and hyperbolic and 2 * T * q <= MAX_LOOP_SITES:
+        if hyperbolic and 2 * T * q <= MAX_LOOP_SITES:
             loop = concatenate_loop(model, p, q, T, options, config=cfg)
             zu = loop.action_per_site
         deltas.append(delta)
@@ -388,12 +377,10 @@ def flatness_curve(model, p: int, q: int, T_list=None, table: BetaTable | None =
                 u <= C_hold * q * d * math.exp(-lam_fit / (4.0 * q * d)) * (1.0 + 1e-9) + 1e-15
                 for d, u in half_b
             )
-    curve = FlatnessCurve(
+    return FlatnessCurve(
         p=p, q=q, c_plus=c_plus, T_values=list(T_list), deltas=deltas,
         u_values=u_values, zeta_upper_bounds=zeta_upper, included=included,
         C_fit=C_fit, lambda_fit=lam_fit,
         lambda_monodromy=report.lyapunov, bound_verdict=holdout_ok,
-        verdict=verdict, alpha_at_c_plus=c_plus * p / q - beta0,
+        verdict=verdict, samples=list(zip(deltas, u_values)),
     )
-    curve.samples = list(zip(deltas, u_values))
-    return curve

@@ -14,6 +14,10 @@ the one configuration a flatness curve builds its loops on are solved in the
 serial pass.  With a fixed seed two runs produce byte-identical
 artifacts and cache records at any worker count, and a warm cache changes
 nothing but the wall time.
+
+grid_table is the grid stage the scan shares with probe-kam.  Later stages run
+through _attempt, which records a StaircaseLabError as a failure instead of
+aborting the run.
 """
 
 from __future__ import annotations
@@ -111,6 +115,10 @@ class ScanConfig:
     @property
     def config_digest(self) -> str:
         return hashlib.sha256(self.raw_text.encode("utf-8")).hexdigest()
+
+    @property
+    def options(self) -> SolveOptions:
+        return SolveOptions(seed=self.seed)
 
 
 def _parse_int(section: str, data: dict, key: str, default=None) -> int:
@@ -339,11 +347,6 @@ def work_list(config: ScanConfig) -> list[tuple[int, int]]:
     return _sorted_pairs(rats)
 
 
-def _beta_task(model: GeneratingModel, p: int, q: int, seed: int):
-    """Worker-side solve; returns the configuration so the parent owns all writes."""
-    return minimize_periodic(model, p, q, SolveOptions(seed=seed))
-
-
 def pool_solves(config: ScanConfig, cache: BetaCache | None, rationals) -> dict:
     """Solves the rationals without a cache record in a process pool.
 
@@ -363,7 +366,8 @@ def pool_solves(config: ScanConfig, cache: BetaCache | None, rationals) -> dict:
     todo.sort(key=lambda r: -r[1])  # long periods first, to even out the workers
     pooled = {}
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        futures = {r: pool.submit(_beta_task, config.model, *r, config.seed) for r in todo}
+        futures = {r: pool.submit(minimize_periodic, config.model, *r, config.options)
+                   for r in todo}
         for r, fut in futures.items():
             try:
                 pooled[r] = fut.result()
@@ -403,15 +407,17 @@ def write_report(path, report: dict) -> None:
         fh.write(render_json(report) + "\n")
 
 
-def flatness_csv_rows(curve):
-    """(T, delta, u, zeta_upper, bound_value) rows for flatness_<p>_<q>.csv."""
+def write_flatness_csv(out: Path, curve) -> None:
+    """Writes out/flatness_<p>_<q>.csv, one (T, delta, u, zeta_upper,
+    bound_value) row per sample of the curve."""
     rows = []
     for T, delta, u, zeta in zip(curve.T_values, curve.deltas,
                                  curve.u_values, curve.zeta_upper_bounds):
         bound = (flatness_bound(curve.q, delta, curve.C_fit, curve.lambda_fit)
                  if math.isfinite(curve.C_fit) else float("nan"))
         rows.append((T, delta, u, zeta, bound))
-    return rows
+    write_csv(out / f"flatness_{curve.p}_{curve.q}.csv",
+              ("T", "delta", "u", "zeta_upper", "bound_value"), rows)
 
 
 def flatness_record(curve) -> dict:
@@ -427,11 +433,9 @@ def probe_records(table: BetaTable, probes, failures) -> list[dict]:
     """One convexity-probe record per target; a failing probe goes to failures."""
     records = []
     for target in probes:
-        try:
-            res = convexity_probe(table, target.cf, target.delta)
-        except StaircaseLabError as exc:
-            failures.append({"stage": f"probe cf={list(target.cf)}",
-                             "error": type(exc).__name__, "message": str(exc)})
+        res = _attempt(failures, f"probe cf={list(target.cf)}",
+                       convexity_probe, table, target.cf, target.delta)
+        if res is None:
             continue
         records.append({
             "cf": list(target.cf), "target": res.target, "c_low": res.c_low,
@@ -454,6 +458,17 @@ def ac_part_record(stair, windows) -> dict:
 # ---- the scan driver ------------------------------------------------------------
 
 
+def _attempt(failures: list, stage: str, fn, *args, **where):
+    """fn(*args); on a StaircaseLabError, appends {**where, "stage", "error",
+    "message"} to failures and returns None."""
+    try:
+        return fn(*args)
+    except StaircaseLabError as exc:
+        failures.append({**where, "stage": stage, "error": type(exc).__name__,
+                         "message": str(exc)})
+        return None
+
+
 def _dyadic_ladder(q_max: int) -> list[int]:
     ladder = []
     q = 4
@@ -464,29 +479,31 @@ def _dyadic_ladder(q_max: int) -> list[int]:
     return sorted(set(ladder))
 
 
-def fill_table(table: BetaTable, config: ScanConfig, tasks, failures,
-               derivative_targets=None) -> None:
+def fill_table(table: BetaTable, config: ScanConfig, tasks, failures) -> None:
     """Enters every (p,q) task into the table, then certifies one-sided
-    derivatives on derivative_targets (default: the base rationals).
+    derivatives on the base rationals.
 
     This is the serial pass: a table bound to pool_solves results takes them
     on its cache misses, so failures are recorded here alone, in task order,
     and the list is identical for any worker count.
     """
-    if derivative_targets is None:
-        derivative_targets = base_rationals(config)
     for p, q in tasks:
-        try:
-            table.beta(p, q)
-        except StaircaseLabError as exc:
-            failures.append({"p": p, "q": q, "stage": "beta",
-                             "error": type(exc).__name__, "message": str(exc)})
-    for p, q in derivative_targets:
-        try:
-            table.one_sided(p, q, config.derivative_depth)
-        except StaircaseLabError as exc:
-            failures.append({"p": p, "q": q, "stage": "derivative",
-                             "error": type(exc).__name__, "message": str(exc)})
+        _attempt(failures, "beta", table.beta, p, q, p=p, q=q)
+    for p, q in base_rationals(config):
+        _attempt(failures, "derivative", table.one_sided, p, q, config.derivative_depth,
+                 p=p, q=q)
+
+
+def grid_table(config: ScanConfig, cache: BetaCache | None, rationals):
+    """(table, failures) after the twist check, the pool solves of the
+    rationals (workers > 1) and fill_table over scan_rationals."""
+    config.model.check_twist()
+    pooled = pool_solves(config, cache, rationals)
+    table = BetaTable.bind(config.model, config.h_lo, config.h_hi, cache=cache,
+                           options=config.options, pooled=pooled)
+    failures: list[dict] = []
+    fill_table(table, config, scan_rationals(config), failures)
+    return table, failures
 
 
 def cohomology_window(table: BetaTable, config: ScanConfig, failures):
@@ -494,14 +511,12 @@ def cohomology_window(table: BetaTable, config: ScanConfig, failures):
         return config.c_lo, config.c_hi
     lo = Fraction(config.h_lo).limit_denominator(config.q_max)
     hi = Fraction(config.h_hi).limit_denominator(config.q_max)
-    try:
-        c1 = table.one_sided(lo.numerator, lo.denominator, config.derivative_depth)[0]
-        c2 = table.one_sided(hi.numerator, hi.denominator, config.derivative_depth)[1]
-    except StaircaseLabError as exc:
-        failures.append({"stage": "window", "error": type(exc).__name__,
-                         "message": str(exc)})
-        return None
-    return c1, c2
+
+    def ends():
+        return (table.one_sided(lo.numerator, lo.denominator, config.derivative_depth)[0],
+                table.one_sided(hi.numerator, hi.denominator, config.derivative_depth)[1])
+
+    return _attempt(failures, "window", ends)
 
 
 def run_scan(config: ScanConfig):
@@ -533,19 +548,9 @@ def run_scan(config: ScanConfig):
 
 
 def _run_scan_inner(config: ScanConfig, out: Path, report: dict) -> int:
-    model = config.model
-    model.check_twist()
-    cache_dir = config.cache_dir or str(out / "cache")
-    cache = BetaCache(cache_dir)
-    options = SolveOptions(seed=config.seed)
-    pooled = pool_solves(config, cache, work_list(config))
-    table = BetaTable.bind(model, config.h_lo, config.h_hi, cache=cache, options=options,
-                           pooled=pooled)
-
-    failures: list[dict] = []
+    cache = BetaCache(config.cache_dir or str(out / "cache"))
+    table, failures = grid_table(config, cache, work_list(config))
     results = report["results"]
-    tasks = scan_rationals(config)
-    fill_table(table, config, tasks, failures)
 
     window = cohomology_window(table, config, failures)
     ladder = _dyadic_ladder(config.q_max)
@@ -557,12 +562,11 @@ def _run_scan_inner(config: ScanConfig, out: Path, report: dict) -> int:
         results["c_window"] = [c1, c2]
         intervals = []
         for Q in ladder:
-            try:
-                intervals = locking_intervals(table, Q, c1, c2, config.derivative_depth)
+            found = _attempt(failures, f"locking Q={Q}", locking_intervals,
+                             table, Q, c1, c2, config.derivative_depth)
+            if found is not None:  # [] is a valid answer
+                intervals = found
                 l_of_q.append((Q, completeness_measure(intervals, c1, c2)))
-            except StaircaseLabError as exc:
-                failures.append({"stage": f"locking Q={Q}", "error": type(exc).__name__,
-                                 "message": str(exc)})
         locking_rows = [
             (f"{iv.p}/{iv.q}", iv.c_minus, iv.c_plus, iv.width) for iv in intervals
         ]
@@ -572,23 +576,17 @@ def _run_scan_inner(config: ScanConfig, out: Path, report: dict) -> int:
     estimator_rows: list[tuple] = [("L", "", "", Q, val) for Q, val in l_of_q]
     for nu in config.nus:
         for Q in ladder:
-            try:
-                val = variation_estimator(table, nu, Q, config.estimator_q)
-            except StaircaseLabError as exc:
-                failures.append({"stage": f"variation nu={nu} Q={Q}",
-                                 "error": type(exc).__name__, "message": str(exc)})
-                continue
-            estimator_rows.append(("variation", nu, "", Q, val))
+            val = _attempt(failures, f"variation nu={nu} Q={Q}",
+                           variation_estimator, table, nu, Q, config.estimator_q)
+            if val is not None:
+                estimator_rows.append(("variation", nu, "", Q, val))
     for nu in config.nus:
         for theta in config.thetas:
             for Q in ladder:
-                try:
-                    val = hausdorff_estimator(table, nu, theta, Q, config.estimator_q)
-                except StaircaseLabError as exc:
-                    failures.append({"stage": f"hausdorff nu={nu} theta={theta} Q={Q}",
-                                     "error": type(exc).__name__, "message": str(exc)})
-                    continue
-                estimator_rows.append(("hausdorff", nu, theta, Q, val))
+                val = _attempt(failures, f"hausdorff nu={nu} theta={theta} Q={Q}",
+                               hausdorff_estimator, table, nu, theta, Q, config.estimator_q)
+                if val is not None:
+                    estimator_rows.append(("hausdorff", nu, theta, Q, val))
     write_csv(out / "estimators.csv", ("kind", "nu", "theta", "Q", "value"),
               estimator_rows)
     results["estimators"] = [
@@ -598,16 +596,11 @@ def _run_scan_inner(config: ScanConfig, out: Path, report: dict) -> int:
     ]
 
     stair = None
-    stair_rows = []
     if window is not None:
-        try:
-            cs = np.linspace(window[0], window[1], config.c_grid)
-            stair = legendre(table, cs)
-            stair_rows = list(stair.d_alpha)
-        except StaircaseLabError as exc:
-            failures.append({"stage": "staircase", "error": type(exc).__name__,
-                             "message": str(exc)})
-    write_csv(out / "staircase.csv", ("c", "d_alpha"), stair_rows)
+        stair = _attempt(failures, "staircase", legendre,
+                         table, np.linspace(window[0], window[1], config.c_grid))
+    write_csv(out / "staircase.csv", ("c", "d_alpha"),
+              list(stair.d_alpha) if stair is not None else [])
 
     beta_rows = [
         (e.p, e.q, e.rho, e.beta, e.c_minus, e.c_plus, e.bracket_width)
@@ -619,16 +612,12 @@ def _run_scan_inner(config: ScanConfig, out: Path, report: dict) -> int:
 
     flatness_records = []
     for target in config.flatness_targets:
-        try:
-            curve = flatness_curve(model, target.p, target.q,
-                                   T_list=target.t_grid, table=table, options=options)
-        except StaircaseLabError as exc:
-            failures.append({"stage": f"flatness {target.p}/{target.q}",
-                             "error": type(exc).__name__, "message": str(exc)})
+        curve = _attempt(failures, f"flatness {target.p}/{target.q}", flatness_curve,
+                         config.model, target.p, target.q, target.t_grid, table,
+                         config.options)
+        if curve is None:
             continue
-        write_csv(out / f"flatness_{curve.p}_{curve.q}.csv",
-                  ("T", "delta", "u", "zeta_upper", "bound_value"),
-                  flatness_csv_rows(curve))
+        write_flatness_csv(out, curve)
         flatness_records.append(flatness_record(curve))
     results["flatness"] = flatness_records
 
@@ -637,6 +626,6 @@ def _run_scan_inner(config: ScanConfig, out: Path, report: dict) -> int:
     if windows and stair is not None:
         results["ac_part"] = ac_part_record(stair, windows)
 
-    results["n_rationals"] = len(tasks)
+    results["n_rationals"] = len(scan_rationals(config))
     results["failures"] = failures
     return 0

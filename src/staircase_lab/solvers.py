@@ -390,7 +390,7 @@ def build_seeds(model, p, q, opts: SolveOptions):
     return seeds
 
 
-def solve_all_starts(model, p, q, opts: SolveOptions, extra_seeds=None):
+def solve_all_starts(model, p, q, opts: SolveOptions):
     """Runs every seed to convergence; returns distinct critical points.
 
     Deduplication is by class_distance within 1e-8, so the PSD certificate
@@ -401,9 +401,8 @@ def solve_all_starts(model, p, q, opts: SolveOptions, extra_seeds=None):
     if math.gcd(abs(p), q) != 1:
         raise ValueError(f"p/q = {p}/{q} is not in lowest terms")
     prob = PeriodicProblem(model, p, q)
-    seeds = list(extra_seeds or []) + build_seeds(model, p, q, opts)
     found: list[CriticalPoint] = []
-    for label, s0 in seeds:
+    for label, s0 in build_seeds(model, p, q, opts):
         u0 = prob.from_lift(np.asarray(s0, dtype=float))
         u, res, ok = newton_periodic_u(prob, u0, opts)
         if not ok:
@@ -424,8 +423,8 @@ def solve_all_starts(model, p, q, opts: SolveOptions, extra_seeds=None):
     return sorted(found, key=lambda c: (c.action, tuple(c.positions)))
 
 
-def best_minimizer(model, p, q, opts: SolveOptions, extra_seeds=None) -> CriticalPoint:
-    points = solve_all_starts(model, p, q, opts, extra_seeds)
+def best_minimizer(model, p, q, opts: SolveOptions) -> CriticalPoint:
+    points = solve_all_starts(model, p, q, opts)
     if not points:
         raise NoConvergence(f"no start converged for p/q = {p}/{q}")
     minima = [c for c in points if c.psd]

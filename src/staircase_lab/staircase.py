@@ -308,9 +308,6 @@ class StaircaseTable:
     c2: float
     alpha_samples: list = field(default_factory=list)  # (c, alpha)
     d_alpha: list = field(default_factory=list)  # (c, rho)
-    locking: list = field(default_factory=list)  # LockingInterval
-    L_of_Q: dict = field(default_factory=dict)
-    estimators: dict = field(default_factory=dict)
     fenchel_max: float = 0.0
 
 

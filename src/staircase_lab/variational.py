@@ -98,11 +98,10 @@ def minimize_periodic(
     p: int,
     q: int,
     options: SolveOptions | None = None,
-    extra_seeds=None,
 ) -> PeriodicConfiguration:
     """Certified (p, q)-periodic minimizer (smallest action over all starts)."""
     opts = options or SolveOptions()
-    best = solvers.best_minimizer(model, p, q, opts, extra_seeds)
+    best = solvers.best_minimizer(model, p, q, opts)
     return _to_config(model, p, q, best)
 
 

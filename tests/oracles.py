@@ -6,8 +6,10 @@ descent instead of Newton, and direct grid sweeps for barriers.  Slow but
 simple, so the main library can be checked against them.  The last section
 keeps the dense and all-shifts linear-algebra paths that the solver's O(q)
 kernels replaced: dense Cholesky certificates, solve_banded solves and the
-class comparison over every index shift.  The final section keeps the two
-damped-Newton loops that the shared solver driver replaced, line for line.
+class comparison over every index shift.  The next section keeps the two
+damped-Newton loops that the shared solver driver replaced, line for line,
+and the last one the per-site lift that TranslateLadder used before it was
+vectorized.
 """
 
 import numpy as np
@@ -349,3 +351,19 @@ def newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts):
     g = solvers.segment_gradient(model, w, lo, hi)
     res = float(np.abs(g).max())
     return w, res, res < opts.tol
+
+
+# ---- translate ladder, one site at a time --------------------------------------
+
+
+def _lift(x, p, q, i):
+    """Value of the q-site lift extended by x[i+q] = x[i] + p."""
+    return float(x[i % q] + p * (i // q))
+
+
+def ladder_value_per_site(ladder, rung, i):
+    """Lift value of translate `rung` of a flatness.TranslateLadder at site i."""
+    unit, r = divmod(rung, ladder.q)
+    j, m = ladder._entries[r]
+    x = np.asarray(ladder.config.positions, dtype=float)
+    return _lift(x, ladder.p, ladder.q, i + j) + m + unit

@@ -6,10 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from staircase_lab import flatness, variational
+from staircase_lab import flatness, staircase, variational
 from staircase_lab.errors import DegenerateFamily, NegativeU
-from staircase_lab.model import frenkel_kontorova
+from staircase_lab.model import GeneratingModel, frenkel_kontorova
+from staircase_lab.solvers import SolveOptions
 from staircase_lab.staircase import BetaTable, legendre
+
+from oracles import ladder_value_per_site
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +157,29 @@ def test_translate_ladder_ordering(k2):
         assert vals[0] < vals[1] < vals[2]
         assert ladder.value(2, i) == ladder.value(0, i) + 1.0
         assert ladder.value(0, i + 2) == ladder.value(0, i) + 1.0
+
+
+LADDER_MODELS = {
+    "fk": frenkel_kontorova(2.0),
+    "fourier": GeneratingModel(
+        family="fourier-potential", a=0.8, harmonics=((1, -0.3, 0.1), (2, 0.05, -0.04))
+    ),
+}
+
+
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (1, 3), (2, 5), (3, 8)])
+@pytest.mark.parametrize("name", list(LADDER_MODELS))
+def test_translate_ladder_matches_per_site_lift(name, p, q):
+    ladder = flatness.TranslateLadder(LADDER_MODELS[name], p, q)
+    sites = np.arange(-3 * q - 2, 3 * q + 3)
+    for rung in range(2 * q + 1):
+        want = np.array([ladder_value_per_site(ladder, rung, int(i)) for i in sites])
+        got = ladder.values(rung, sites)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for i in sites:
+            value = ladder.value(rung, int(i))
+            assert isinstance(value, float)
+            assert np.float64(value).tobytes() == want[i - sites[0]].tobytes()
 
 
 # ---- concatenated loops -----------------------------------------------------
@@ -321,3 +347,23 @@ def test_curve_negative_u_raises():
 def test_curve_validates_T_grid(k2, k2_table):
     with pytest.raises(ValueError):
         flatness.flatness_curve(k2, 0, 1, T_list=[0, 2], table=k2_table)
+
+
+def test_curve_without_table_solves_with_the_given_options(k2, monkeypatch):
+    real_beta, real_min = staircase.beta_at, variational.minimize_periodic
+    seen = []
+
+    def beta_at(model, p, q, cache=None, options=None, pooled=None):
+        seen.append(("beta_at", options))
+        return real_beta(model, p, q, cache=cache, options=options, pooled=pooled)
+
+    def minimize_periodic(model, p, q, options=None):
+        seen.append(("minimize_periodic", options))
+        return real_min(model, p, q, options)
+
+    monkeypatch.setattr(staircase, "beta_at", beta_at)
+    monkeypatch.setattr(variational, "minimize_periodic", minimize_periodic)
+    opts = SolveOptions(seed=5)
+    flatness.flatness_curve(k2, 0, 1, T_list=[2], options=opts)
+    assert {name for name, _ in seen} == {"beta_at", "minimize_periodic"}
+    assert all(options is opts for _, options in seen)

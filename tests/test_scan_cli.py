@@ -17,7 +17,7 @@ import staircase_lab
 from staircase_lab import __version__
 from staircase_lab import scan as sc
 from staircase_lab.cli import main
-from staircase_lab.errors import ConfigError, NoConvergence
+from staircase_lab.errors import ConfigError, NoConvergence, NonconvexTerm
 from staircase_lab.scan import parse_scan_config, run_scan
 from staircase_lab.staircase import DERIVATIVE_DEPTH, mediant_chain, shifted_rational
 
@@ -424,6 +424,94 @@ def test_failing_rational_is_recorded_and_isolated(tmp_path, monkeypatch):
     _, rows = read_csv(tmp_path / "beta.csv")
     good = {(int(r[0]), int(r[1])) for r in rows}
     assert (1, 2) in good and (1, 4) in good and (1, 3) not in good
+
+
+def _nc(stage, at, **pq):
+    return {**pq, "stage": stage, "error": "NoConvergence",
+            "message": f"injected failure at {at}"}
+
+
+# The failures list of a POOL_TEXT scan with NoConvergence injected at one
+# rational, or NonconvexTerm raised by the Legendre transform.  Together the
+# cases reach every isolated stage.
+STAGE_FAILURES = {
+    "1/3": [
+        _nc("beta", "1/3", p=1, q=3),
+        _nc("derivative", "1/3", p=1, q=3),
+        _nc("locking Q=3", "1/3"),
+    ],
+    "0/1": [
+        _nc("beta", "0/1", p=0, q=1),
+        _nc("derivative", "0/1", p=0, q=1),
+        _nc("window", "0/1"),
+        _nc("flatness 0/1", "0/1"),
+    ],
+    "1/2": [
+        _nc("beta", "1/2", p=1, q=2),
+        _nc("derivative", "1/2", p=1, q=2),
+        _nc("locking Q=3", "1/2"),
+        _nc("flatness 0/1", "1/2"),
+        _nc("probe cf=[0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]", "1/2"),
+    ],
+    "1/4": [
+        _nc("beta", "1/4", p=1, q=4),
+        _nc("derivative", "1/4", p=0, q=1),
+        _nc("window", "1/4"),
+        _nc("variation nu=0.5 Q=3", "1/4"),
+        _nc("hausdorff nu=0.5 theta=0.5 Q=3", "1/4"),
+        _nc("flatness 0/1", "1/4"),
+    ],
+    "staircase": [
+        {"stage": "staircase", "error": "NonconvexTerm",
+         "message": "injected nonconvex staircase"},
+    ],
+}
+
+
+def _inject(monkeypatch, case):
+    """NoConvergence from beta_at at the rational `case`, or a failing legendre."""
+    from staircase_lab import staircase as stair_mod
+    if case == "staircase":
+        def nonconvex(*args, **kwargs):
+            raise NonconvexTerm("injected nonconvex staircase")
+        monkeypatch.setattr(sc, "legendre", nonconvex)
+        return
+    real = stair_mod.beta_at
+    at = tuple(int(v) for v in case.split("/"))
+
+    def failing(model, p, q, **kwargs):
+        if (p, q) == at:
+            raise NoConvergence(f"injected failure at {p}/{q}")
+        return real(model, p, q, **kwargs)
+
+    monkeypatch.setattr(stair_mod, "beta_at", failing)
+
+
+@pytest.mark.parametrize("case", list(STAGE_FAILURES))
+def test_stage_failure_records(tmp_path, monkeypatch, case):
+    _inject(monkeypatch, case)
+    config = parse_scan_config(POOL_TEXT)
+    for workers in (1, 2):
+        code, report = run_scan(dataclasses.replace(
+            config, workers=workers, out_dir=str(tmp_path / f"w{workers}")))
+        assert code == 0 and "error" not in report
+        assert report["results"]["failures"] == STAGE_FAILURES[case]
+
+
+def test_probe_kam_failure_records_match_the_scan(tmp_path, monkeypatch, capsys):
+    _inject(monkeypatch, "1/2")
+    cfg = tmp_path / "pool.cfg"
+    cfg.write_text(POOL_TEXT)
+    assert main(["probe-kam", str(cfg)]) == 0
+    printed = json.loads(capsys.readouterr().out)["failures"]
+    shared = [f for f in STAGE_FAILURES["1/2"]
+              if f["stage"] in ("beta", "derivative", "window")
+              or f["stage"].startswith("probe ")]
+
+    def by_content(records):
+        return sorted(records, key=lambda f: json.dumps(f, sort_keys=True))
+
+    assert by_content(printed) == by_content(shared)
 
 
 # ---- export units -----------------------------------------------------------------

@@ -13,7 +13,8 @@ from staircase_lab.errors import (
     NonconvexTerm,
     OverlapDetected,
 )
-from staircase_lab.model import frenkel_kontorova
+from staircase_lab.model import GeneratingModel, frenkel_kontorova
+from staircase_lab.solvers import SolveOptions
 
 
 def quad_table(exact=True):
@@ -467,3 +468,30 @@ def test_ac_part_windows_add():
     assert lone.bound > 0.0 and other.bound > 0.0
     assert abs(both.bound - (lone.bound + other.bound)) < 1e-12
     assert len(both.c_windows) == 2
+
+
+# ---- fourier-potential properties ------------------------------------------------
+
+FOURIER_HARMONICS = [
+    ((1, -0.3, 0.1), (2, 0.05, -0.04)),
+    ((1, 0.2, -0.25), (3, -0.04, 0.02)),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("harmonics", FOURIER_HARMONICS)
+def test_fourier_beta_convex_and_locking_disjoint(harmonics, seed):
+    model = GeneratingModel(family="fourier-potential", a=0.8, harmonics=harmonics)
+    table = sc.BetaTable.bind(model, options=SolveOptions(seed=seed))
+    rats = table.rationals(4)
+    brackets = [table.one_sided(p, q) for p, q in rats]
+    # every solved rational: the grid and the mediants its slopes read
+    report = table.verify_convexity()
+    assert report.ok, report
+    assert len(table.entries()) > len(rats)
+    for (cm, cp, _), (cm_next, _, _) in zip(brackets, brackets[1:]):
+        assert cm <= cp <= cm_next + 1e-10
+    intervals = sc.locking_intervals(table, 4, brackets[0][0], brackets[-1][1])
+    assert [(iv.p, iv.q) for iv in intervals] == rats
+    for a, b in zip(intervals, intervals[1:]):
+        assert a.c_minus <= a.c_plus <= b.c_minus
