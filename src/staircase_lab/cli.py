@@ -21,6 +21,7 @@ from .hyperbolicity import full_report, pn_barrier
 from .model import load_model
 from .scan import (
     ScanConfig,
+    _attempt,
     ac_part_record,
     cohomology_window,
     flatness_record,
@@ -210,8 +211,10 @@ def _cmd_probe_kam(args) -> int:
     if windows:
         window = cohomology_window(table, config, failures)
         if window is not None:
-            stair = legendre(table, np.linspace(window[0], window[1], config.c_grid))
-            report["ac_part"] = ac_part_record(stair, windows)
+            stair = _attempt(failures, "staircase", legendre,
+                             table, np.linspace(window[0], window[1], config.c_grid))
+            if stair is not None:
+                report["ac_part"] = ac_part_record(stair, windows)
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -5,6 +5,18 @@ of period 1.  The classical nearest-neighbor chain with cosine on-site
 potential is the special case a = 1/2, V(x) = -k*cos(2*pi*x).  All partial
 derivatives are analytic, so the twist bound and Euler-Lagrange residuals
 are exact up to rounding.
+
+Kernel contract.  V, V' and V'' are evaluated from the (2*pi*n, cos_amp,
+sin_amp) terms built once per model, evaluating only the trig functions
+whose amplitude is nonzero.  The sum runs in a fixed order: starting from
++0.0, harmonic by harmonic, V adds the cos term and then the sin term
+((v + A) + B); V' adds w*(-cos_amp*sin + sin_amp*cos) and V'' subtracts
+w*w*(cos_amp*cos + sin_amp*sin).  A skipped term would only have added a
+signed zero to a sum that is never -0.0, so for finite x every result is
+bitwise equal to the full series over all harmonics (signed zeros included;
+FK at k = 0 has cos amplitude -0.0 and gives +0.0).  d12h and d22h are the
+constants -2a and 2a, and d11h = 2a + V''; each broadcasts only when x and x'
+differ in shape, and returns a float when the result is 0-d.
 """
 
 from __future__ import annotations
@@ -12,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -21,6 +34,15 @@ from .errors import ConfigError, TwistViolated
 TWO_PI = 2.0 * math.pi
 
 FAMILIES = ("frenkel-kontorova", "fourier-potential")
+
+
+def _constant(c: float, x, xp):
+    """c over the broadcast shape of x and x'; a float when that shape is ()."""
+    shape = np.shape(x)
+    if np.shape(xp) != shape:
+        # differing shapes broadcast to at least one dimension
+        return np.broadcast_to(c, np.broadcast(np.asarray(x), np.asarray(xp)).shape)
+    return np.full(shape, c) if shape else float(c)
 
 
 def _canon(x: float) -> str:
@@ -68,38 +90,60 @@ class GeneratingModel:
 
     # ---- potential -------------------------------------------------
 
-    def _v_terms(self):
-        """Yields (order, cos_amp, sin_amp) including the implicit FK cosine."""
+    @cached_property
+    def _terms(self) -> tuple[tuple[float, float, float], ...]:
+        """(2*pi*n, cos_amp, sin_amp) per harmonic with a nonzero amplitude,
+        the implicit FK cosine included."""
         if self.family == "frenkel-kontorova":
-            yield (1, -self.k, 0.0)
+            terms = ((TWO_PI * 1, -self.k, 0.0),)
         else:
-            for order, ca, sa in self.harmonics:
-                yield (int(order), float(ca), float(sa))
+            terms = tuple((TWO_PI * int(n), float(ca), float(sa))
+                          for n, ca, sa in self.harmonics)
+        return tuple(t for t in terms if t[1] or t[2])
+
+    def __getstate__(self):
+        # _terms is derived: pickle the fields only, as before it existed
+        return {k: v for k, v in self.__dict__.items() if k != "_terms"}
 
     def potential(self, x):
         # V has period 1, and float mod by 1 is exact: reduce first so large
         # lift values do not lose precision inside the trig argument
         x = np.mod(np.asarray(x, dtype=float), 1.0)
-        v = np.zeros_like(x)
-        for n, ca, sa in self._v_terms():
-            w = TWO_PI * n
-            v = v + ca * np.cos(w * x) + sa * np.sin(w * x)
+        v = 0.0 if self._terms else np.zeros_like(x)
+        for w, ca, sa in self._terms:
+            wx = w * x
+            if ca:
+                v = v + ca * np.cos(wx)
+            if sa:
+                v = v + sa * np.sin(wx)
         return v if v.ndim else float(v)
 
     def potential_d1(self, x):
         x = np.mod(np.asarray(x, dtype=float), 1.0)
-        v = np.zeros_like(x)
-        for n, ca, sa in self._v_terms():
-            w = TWO_PI * n
-            v = v + w * (-ca * np.sin(w * x) + sa * np.cos(w * x))
+        v = 0.0 if self._terms else np.zeros_like(x)
+        for w, ca, sa in self._terms:
+            wx = w * x
+            if ca and sa:
+                t = -ca * np.sin(wx) + sa * np.cos(wx)
+            elif ca:
+                t = -ca * np.sin(wx)
+            else:
+                t = sa * np.cos(wx)
+            v = v + w * t
         return v if v.ndim else float(v)
 
     def potential_d2(self, x):
         x = np.mod(np.asarray(x, dtype=float), 1.0)
-        v = np.zeros_like(x)
-        for n, ca, sa in self._v_terms():
-            w = TWO_PI * n
-            v = v - w * w * (ca * np.cos(w * x) + sa * np.sin(w * x))
+        v = 0.0 if self._terms else np.zeros_like(x)
+        for w, ca, sa in self._terms:
+            wx = w * x
+            if ca and sa:
+                t = ca * np.cos(wx) + sa * np.sin(wx)
+            elif ca:
+                t = ca * np.cos(wx)
+            else:
+                t = sa * np.sin(wx)
+            v = v - w * w * t
         return v if v.ndim else float(v)
 
     def potential_minima(self, samples: int = 2048) -> np.ndarray:
@@ -155,18 +199,15 @@ class GeneratingModel:
     def d11h(self, x, xp):
         x = np.asarray(x, dtype=float)
         out = 2.0 * self.a + self.potential_d2(x)
-        out = np.broadcast_to(out, np.broadcast(x, np.asarray(xp)).shape)
-        return out if out.ndim else float(out)
+        if np.shape(xp) == x.shape:
+            return out if x.ndim else float(out)
+        return np.broadcast_to(out, np.broadcast(x, np.asarray(xp)).shape)
 
     def d12h(self, x, xp):
-        shape = np.broadcast(np.asarray(x), np.asarray(xp)).shape
-        out = np.broadcast_to(-2.0 * self.a, shape)
-        return out if out.ndim else float(out)
+        return _constant(-2.0 * self.a, x, xp)
 
     def d22h(self, x, xp):
-        shape = np.broadcast(np.asarray(x), np.asarray(xp)).shape
-        out = np.broadcast_to(2.0 * self.a, shape)
-        return out if out.ndim else float(out)
+        return _constant(2.0 * self.a, x, xp)
 
     def partials(self, x, xp):
         """(d1h, d2h, d11h, d12h, d22h) at (x, x')."""

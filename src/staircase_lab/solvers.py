@@ -168,15 +168,18 @@ class PeriodicProblem:
         self.rat = p / q
         # (i*p) mod q is exact in integers; one rounding in the division
         self.frac = ((np.arange(q) * p) % q) / q
+        # neighbor indices: u[_nxt] is np.roll(u, -1), u[_prv] is np.roll(u, 1)
+        self._nxt = (np.arange(q) + 1) % q
+        self._prv = (np.arange(q) - 1) % q
 
     def z(self, u):
         return np.mod(u + self.frac, 1.0)
 
     def dnxt(self, u):
-        return np.roll(u, -1) - u + self.rat  # x_{i+1} - x_i
+        return u[self._nxt] - u + self.rat  # x_{i+1} - x_i
 
     def dprev(self, u):
-        return np.roll(u, 1) - u - self.rat  # x_{i-1} - x_i
+        return u[self._prv] - u - self.rat  # x_{i-1} - x_i
 
     def gradient(self, u):
         z = self.z(u)

@@ -8,8 +8,9 @@ keeps the dense and all-shifts linear-algebra paths that the solver's O(q)
 kernels replaced: dense Cholesky certificates, solve_banded solves and the
 class comparison over every index shift.  The next section keeps the two
 damped-Newton loops that the shared solver driver replaced, line for line,
-and the last one the per-site lift that TranslateLadder used before it was
-vectorized.
+the next the per-site lift that TranslateLadder used before it was
+vectorized, and the last one the series-form model kernels and the np.roll
+neighbor differences that the lean kernels and indexed neighbors replaced.
 """
 
 import numpy as np
@@ -367,3 +368,74 @@ def ladder_value_per_site(ladder, rung, i):
     j, m = ladder._entries[r]
     x = np.asarray(ladder.config.positions, dtype=float)
     return _lift(x, ladder.p, ladder.q, i + j) + m + unit
+
+
+# ---- model kernels and neighbor shifts before the lean rewrite --------------
+#
+# The series form of V, V' and V'': a zeros_like accumulator, every harmonic's
+# cos and sin evaluated whatever its amplitude, and d11h, d12h and d22h built
+# with np.broadcast plus np.broadcast_to.  The package must match these bit
+# for bit, signed zeros included.
+
+
+def _series_terms(model):
+    """(order, cos_amp, sin_amp) including the implicit FK cosine."""
+    if model.family == "frenkel-kontorova":
+        yield (1, -model.k, 0.0)
+    else:
+        for order, ca, sa in model.harmonics:
+            yield (int(order), float(ca), float(sa))
+
+
+def potential_series(model, x):
+    x = np.mod(np.asarray(x, dtype=float), 1.0)
+    v = np.zeros_like(x)
+    for n, ca, sa in _series_terms(model):
+        w = 2.0 * np.pi * n
+        v = v + ca * np.cos(w * x) + sa * np.sin(w * x)
+    return v if v.ndim else float(v)
+
+
+def potential_d1_series(model, x):
+    x = np.mod(np.asarray(x, dtype=float), 1.0)
+    v = np.zeros_like(x)
+    for n, ca, sa in _series_terms(model):
+        w = 2.0 * np.pi * n
+        v = v + w * (-ca * np.sin(w * x) + sa * np.cos(w * x))
+    return v if v.ndim else float(v)
+
+
+def potential_d2_series(model, x):
+    x = np.mod(np.asarray(x, dtype=float), 1.0)
+    v = np.zeros_like(x)
+    for n, ca, sa in _series_terms(model):
+        w = 2.0 * np.pi * n
+        v = v - w * w * (ca * np.cos(w * x) + sa * np.sin(w * x))
+    return v if v.ndim else float(v)
+
+
+def d11h_series(model, x, xp):
+    x = np.asarray(x, dtype=float)
+    out = 2.0 * model.a + potential_d2_series(model, x)
+    out = np.broadcast_to(out, np.broadcast(x, np.asarray(xp)).shape)
+    return out if out.ndim else float(out)
+
+
+def d12h_series(model, x, xp):
+    shape = np.broadcast(np.asarray(x), np.asarray(xp)).shape
+    out = np.broadcast_to(-2.0 * model.a, shape)
+    return out if out.ndim else float(out)
+
+
+def d22h_series(model, x, xp):
+    shape = np.broadcast(np.asarray(x), np.asarray(xp)).shape
+    out = np.broadcast_to(2.0 * model.a, shape)
+    return out if out.ndim else float(out)
+
+
+def dnxt_roll(prob, u):
+    return np.roll(u, -1) - u + prob.rat
+
+
+def dprev_roll(prob, u):
+    return np.roll(u, 1) - u - prob.rat

@@ -514,6 +514,26 @@ def test_probe_kam_failure_records_match_the_scan(tmp_path, monkeypatch, capsys)
     assert by_content(printed) == by_content(shared)
 
 
+def test_probe_kam_records_a_failing_staircase(tmp_path, monkeypatch, capsys):
+    import staircase_lab.cli as cli_mod
+    cfg = tmp_path / "pool.cfg"
+    cfg.write_text(POOL_TEXT)
+    assert main(["probe-kam", str(cfg)]) == 0
+    clean = json.loads(capsys.readouterr().out)
+
+    def nonconvex(*args, **kwargs):
+        raise NonconvexTerm("injected nonconvex staircase")
+
+    monkeypatch.setattr(cli_mod, "legendre", nonconvex)
+    assert main(["probe-kam", str(cfg)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert "ac_part" in clean and "ac_part" not in printed
+    assert clean["probes"] and printed["probes"] == clean["probes"]
+    assert printed["failures"] == clean["failures"] + [
+        {"stage": "staircase", "error": "NonconvexTerm",
+         "message": "injected nonconvex staircase"}]
+
+
 # ---- export units -----------------------------------------------------------------
 
 

@@ -478,10 +478,7 @@ FOURIER_HARMONICS = [
 ]
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("harmonics", FOURIER_HARMONICS)
-def test_fourier_beta_convex_and_locking_disjoint(harmonics, seed):
-    model = GeneratingModel(family="fourier-potential", a=0.8, harmonics=harmonics)
+def assert_beta_convex_and_locking_disjoint(model, seed):
     table = sc.BetaTable.bind(model, options=SolveOptions(seed=seed))
     rats = table.rationals(4)
     brackets = [table.one_sided(p, q) for p, q in rats]
@@ -495,3 +492,16 @@ def test_fourier_beta_convex_and_locking_disjoint(harmonics, seed):
     assert [(iv.p, iv.q) for iv in intervals] == rats
     for a, b in zip(intervals, intervals[1:]):
         assert a.c_minus <= a.c_plus <= b.c_minus
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("harmonics", FOURIER_HARMONICS)
+def test_fourier_beta_convex_and_locking_disjoint(harmonics, seed):
+    model = GeneratingModel(family="fourier-potential", a=0.8, harmonics=harmonics)
+    assert_beta_convex_and_locking_disjoint(model, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("k", [0.3, 1.0, 2.0])
+def test_fk_beta_convex_and_locking_disjoint(k, seed):
+    assert_beta_convex_and_locking_disjoint(frenkel_kontorova(k), seed)

@@ -11,7 +11,14 @@ prints one "<sha256>  <label>" line for:
   and 2, plus its exit status;
 - the exit code, stdout and stderr of each orbit-analysis command, of
   probe-kam on the scan config at workers 1 and 2, and of
-  `flatness -p 1 -q 3 --out-dir DIR`, plus the CSV that writes.
+  `flatness -p 1 -q 3 --out-dir DIR`, plus the CSV that writes;
+- the same for a three-harmonic fourier-potential model (FOURIER_MODEL):
+  a q_max = 3 scan at workers 1, `beta` at 1/2 and 2/5, `hyperbolicity`
+  and `pn-barrier` at 1/2, and `flatness -p 1 -q 2 --out-dir DIR`.  Its
+  mixed, sin-only and cos-only harmonics reach model-kernel branches that
+  the benchmark's Frenkel-Kontorova model never takes.  (`pn-barrier 1/2`
+  exits 1 with NoConvergence on this model; its exit code and message are
+  digested like any other output.)
 
 BLAS is pinned to one thread and STAIRCASE_LAB_CACHE is ignored, as in the
 benchmark.  Everything is written to a temporary directory.
@@ -26,6 +33,42 @@ import importlib.util
 import sys
 import tempfile
 from pathlib import Path
+
+
+FOURIER_MODEL = """[model]
+family = fourier-potential
+a = 0.8
+[harmonic]
+order = 1
+cos_amp = -0.3
+sin_amp = 0.1
+[harmonic]
+order = 2
+cos_amp = 0.0
+sin_amp = -0.04
+[harmonic]
+order = 3
+cos_amp = 0.02
+sin_amp = 0.0
+"""
+
+FOURIER_SCAN = FOURIER_MODEL + """
+[scan]
+q_max = 3
+nu = 0.5
+theta = 0.5
+estimator_q = 4
+c_grid = 101
+seed = {seed}
+workers = 1
+
+[flatness]
+p = 0
+q = 1
+"""
+
+FOURIER_REQUESTS = (("beta", 1, 2), ("beta", 2, 5), ("hyperbolicity", 1, 2),
+                    ("pn-barrier", 1, 2))
 
 
 def sha(data) -> str:
@@ -57,18 +100,37 @@ def cli_digests(bench, cli, label: str, argv):
     yield sha(err), f"{label} stderr"
 
 
+def scan_digests(scan, text: str, label: str, d: Path):
+    config = dataclasses.replace(scan.parse_scan_config(text), out_dir=str(d / "out"),
+                                 cache_dir=str(d / "cache"))
+    code, _ = scan.run_scan(config)
+    yield sha(str(code)), f"{label} exit"
+    yield from tree_digests(label, d)
+
+
+def orbit_digests(bench, cli, model: Path, requests, flatness, tag: str, seed: int,
+                  work: Path):
+    """Each (cmd, p, q) request, then flatness p/q with --out-dir and its CSV."""
+    for cmd, p, q in requests:
+        yield from cli_digests(bench, cli, f"{tag}{cmd} {p}/{q} seed={seed}",
+                               [cmd, "-p", str(p), "-q", str(q), "--model", str(model),
+                                "--seed", str(seed)])
+    p, q = flatness
+    d = work / f"{tag}flatness-{seed}"
+    label = f"{tag}flatness {p}/{q} --out-dir seed={seed}"
+    yield from cli_digests(bench, cli, label,
+                           ["flatness", "-p", str(p), "-q", str(q), "--model", str(model),
+                            "--seed", str(seed), "--out-dir", str(d)])
+    yield from tree_digests(label, d)
+
+
 def digests(bench, seed: int, work: Path):
     from staircase_lab import cli, scan
 
     for workers in (1, 2):
-        d = work / f"scan-{seed}-{workers}"
         text = bench.SCAN_CONFIG.format(seed=seed, workers=workers)
-        config = dataclasses.replace(scan.parse_scan_config(text), out_dir=str(d / "out"),
-                                     cache_dir=str(d / "cache"))
-        code, _ = scan.run_scan(config)
-        label = f"scan seed={seed} workers={workers}"
-        yield sha(str(code)), f"{label} exit"
-        yield from tree_digests(label, d)
+        yield from scan_digests(scan, text, f"scan seed={seed} workers={workers}",
+                                work / f"scan-{seed}-{workers}")
 
         cfg = work / f"probe-{seed}-{workers}.cfg"
         cfg.write_text(text)
@@ -77,17 +139,15 @@ def digests(bench, seed: int, work: Path):
 
     model = work / "model"
     model.write_text(bench.MODEL_TEXT)
-    for cmd, p, q in bench.ORBIT_REQUESTS:
-        yield from cli_digests(bench, cli, f"{cmd} {p}/{q} seed={seed}",
-                               [cmd, "-p", str(p), "-q", str(q), "--model", str(model),
-                                "--seed", str(seed)])
+    yield from orbit_digests(bench, cli, model, bench.ORBIT_REQUESTS, (1, 3), "", seed,
+                             work)
 
-    d = work / f"flatness-{seed}"
-    label = f"flatness 1/3 --out-dir seed={seed}"
-    yield from cli_digests(bench, cli, label,
-                           ["flatness", "-p", "1", "-q", "3", "--model", str(model),
-                            "--seed", str(seed), "--out-dir", str(d)])
-    yield from tree_digests(label, d)
+    tag = "fourier "
+    yield from scan_digests(scan, FOURIER_SCAN.format(seed=seed),
+                            f"{tag}scan seed={seed} workers=1", work / f"fourier-scan-{seed}")
+    model = work / "fourier-model"
+    model.write_text(FOURIER_MODEL)
+    yield from orbit_digests(bench, cli, model, FOURIER_REQUESTS, (1, 2), tag, seed, work)
 
 
 def main(argv=None) -> int:
