@@ -125,7 +125,7 @@ def _solve_gap_segment(model, ladder: TranslateLadder, gap: int, sites,
               (center - span, 1.0), (center + span, 1.0)]
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=opts.seed, spawn_key=(ladder.q, gap, 0x5E6)))
-    candidates = []
+    starts = []
     for c0, width in shapes:
         for jitter in (0.0, 0.05):
             t = 1.0 / (1.0 + np.exp(-(rel - c0) / width))
@@ -135,14 +135,16 @@ def _solve_gap_segment(model, ladder: TranslateLadder, gap: int, sites,
                 w0 = np.clip(w0 + bump, lower, upper)
             w0[:2] = lower[:2]
             w0[-2:] = upper[-2:]
-            w, res, ok = solvers.newton_segment(model, w0, 2, 2, opts)
-            if not ok or res > SEGMENT_RESIDUAL:
-                continue
-            if np.any(w < lower - 1e-9) or np.any(w > upper + 1e-9):
-                continue
-            psd = solvers.certify_psd_segment(model, w, 2, 2, shift=1e-12)
-            act = solvers.segment_action(model, w)
-            candidates.append((act, w, res, psd))
+            starts.append(w0)
+    candidates = []
+    for w, res, ok in solvers.newton_segment_starts(model, starts, 2, 2, opts):
+        if not ok or res > SEGMENT_RESIDUAL:
+            continue
+        if np.any(w < lower - 1e-9) or np.any(w > upper + 1e-9):
+            continue
+        psd = solvers.certify_psd_segment(model, w, 2, 2, shift=1e-12)
+        act = solvers.segment_action(model, w)
+        candidates.append((act, w, res, psd))
     pool = [c for c in candidates if c[3]] or candidates
     if not pool:
         raise NoConvergence(

@@ -14,6 +14,39 @@ differs between the problems:
   solve (larger q).
 - newton_segment: interior sites of a segment with clamped ends.  The
   Hessian is tridiagonal (dgtsv); the fallback is the dense direction.
+  newton_segment_starts runs many starts of one segment problem together.
+
+Each start is one coroutine, _newton_start: the plain damped Newton loop on
+its own state, which yields whenever it needs the model (a gradient, the
+Hessian parts with the structured step, or an action) and receives the
+value.  _damped_newton runs a stack of starts together and answers each
+round of requests with one evaluation on the stacked states; a lone state
+is evaluated as it is, without stacking.  Each start gets exactly what it
+would get alone, bit for bit:
+
+- The model kernels are elementwise, and an action total is a sum over the
+  last axis, the same pairwise summation per row as for one row alone.
+- All tridiagonal blocks of a round go through one dgtsv on the
+  block-diagonal stack.  The zero coupling between blocks keeps elimination
+  inside each block; it adds or subtracts only signed zeros across the
+  seam.  When the stacked solve fails or returns a non-finite entry (which
+  0 * inf would spread to the next block), every row is solved alone.
+- Everything else (slopes, step checks, fallback, steepest-descent guard,
+  Armijo step lengths) is the start's own arithmetic on its own arrays;
+  per-row dot products stay BLAS ddot, whose rounding a row-wise einsum or
+  sum would not reproduce.
+
+Searches are answered before gradients, so the starts stay in step: every
+active start asks for its next gradient in the same round.
+
+One iterate maps a start's state to the next and depends on nothing else, so
+once a state repeats bit for bit every later state is known: when x_i equals
+an earlier x_k, the start would cycle with period i - k up to max_iter and
+end on x_j with j = k + (max_iter - k) mod (i - k).  It returns x_j, its
+residual and residual < tol at once, which is what running on to max_iter
+returns.  The cycles seen in practice are full steps at the float noise
+floor, just above the target, so states are recorded from a start's first
+full step on; a start that never takes one runs on as it always did.
 
 Minimality is certified by Sylvester's law of inertia: H + shift*I is
 positive definite exactly when every LDL^T pivot (LAPACK dpttrf) of the open
@@ -235,23 +268,41 @@ def periodic_hessian_dense(model, x, p, q):
     return tridiag_dense(*prob.hessian_parts(prob.from_lift(x)))
 
 
-def _damped_newton(x, free, gradient, action, hessian_parts, solve, fallback, opts):
-    """Damped Newton with Armijo backtracking on the sites x[free].
+# evaluation requests of _newton_start, in the order the batch serves them
+_ACTION, _STEP, _GRADIENT = range(3)
 
-    gradient and action see the whole state x and cover only the free sites;
-    hessian_parts(x) -> (diag, off) is the structured second variation.
-    solve(diag, off, rhs) is the structured Newton solve (None on failure);
+
+def _newton_start(x, free, fallback, opts):
+    """One start of the damped Newton iteration, as a coroutine on its state x.
+
+    It yields the model evaluations it needs and receives their values:
+    (_GRADIENT, x, None) -> g, (_STEP, x, g) -> (diag, off, s) with s the
+    structured Newton step for -g or None, and (_ACTION, x, None) -> float.
     fallback(diag, off, g) replaces a step that is missing, not a descent
     direction, or exploding.  Returns (x, residual_sup, ok).
     """
     target = 0.25 * opts.tol  # margin so re-evaluation stays under tol
-    for _ in range(opts.max_iter):
-        g = gradient(x)
+    seen = None  # state bytes -> iterate, from the first full step on
+    for it in range(opts.max_iter):
+        if seen is not None:
+            key = x.tobytes()
+            k = seen.setdefault(key, it)
+            if k != it:
+                # x repeats iterate k, so the loop would cycle with period
+                # it - k until max_iter and end on the state of iterate i
+                i = k + (opts.max_iter - k) % (it - k) - first
+                return np.frombuffer(states[i]).copy(), resids[i], resids[i] < opts.tol
+            states.append(key)
+        g = yield _GRADIENT, x, None
         res = float(np.abs(g).max())
         if res < target:
             return x, res, True
-        diag, off = hessian_parts(x)
-        s = solve(diag, off, -g)
+        if seen is not None:
+            resids.append(res)
+        elif res < 1e-6:
+            first, key = it, x.tobytes()
+            seen, states, resids = {key: it}, [key], [res]
+        diag, off, s = yield _STEP, x, g
         if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(x).max()):
             s = fallback(diag, off, g)
         slope = float(np.dot(g, s))
@@ -262,26 +313,84 @@ def _damped_newton(x, free, gradient, action, hessian_parts, solve, fallback, op
             # quadratic basin: full steps, no action comparisons in noise
             x[free] += s
             continue
-        a0 = action(x)
+        a0 = yield _ACTION, x, None
         t = 1.0
-        accepted = False
         while t >= 2.0 ** -40:
             xt = x.copy()
             xt[free] += t * s
-            if action(xt) <= a0 + 1e-4 * t * slope:
+            if (yield _ACTION, xt, None) <= a0 + 1e-4 * t * slope:
                 x = xt
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             return x, res, False
-    res = float(np.abs(gradient(x)).max())
+    res = float(np.abs((yield _GRADIENT, x, None)).max())
     return x, res, res < opts.tol
+
+
+def _damped_newton(x, free, gradient, action, hessian_parts, solve, fallback, opts):
+    """Damped Newton with Armijo backtracking on the sites [:, free] of each row of x.
+
+    Each row of the (m, n) stack x is one start (_newton_start), and the
+    starts advance together: each evaluation they ask for in the same round
+    is made once, on their states stacked, and a lone state is evaluated as
+    it is.  gradient, action and hessian_parts take one state (n,) or a stack
+    (m, n); gradient and action cover only the free sites, and
+    hessian_parts(x) -> (diag, off) is the structured second variation.
+    solve(diag, off, rhs) returns the Newton step (None on failure) of one
+    state's parts, or one step or None per row of stacked parts; it sees
+    stacks only when several starts ask together.  Returns one
+    (x, residual_sup, ok) per row.
+    """
+    def evaluate(request):
+        kind, state, g = request
+        if kind == _GRADIENT:
+            return gradient(state)
+        if kind == _ACTION:
+            return float(action(state))
+        diag, off = hessian_parts(state)
+        return diag, off, solve(diag, off, -g)
+
+    starts = [_newton_start(np.array(row, dtype=float), free, fallback, opts) for row in x]
+    if len(starts) == 1:
+        # nothing to batch: each request is answered as it comes
+        start, = starts
+        request = next(start)
+        try:
+            while True:
+                request = start.send(evaluate(request))
+        except StopIteration as stop:
+            return [stop.value]
+    out = [None] * len(starts)
+    requests = {i: next(start) for i, start in enumerate(starts)}
+    while requests:
+        # searches first, so that every start asks for its next gradient in
+        # the same round
+        kind = min(request[0] for request in requests.values())
+        batch = [i for i, request in requests.items() if request[0] == kind]
+        if len(batch) == 1:
+            values = [evaluate(requests[batch[0]])]
+        else:
+            states = np.array([requests[i][1] for i in batch])
+            if kind == _GRADIENT:
+                values = gradient(states)
+            elif kind == _ACTION:
+                values = action(states).tolist()
+            else:
+                diag, off = hessian_parts(states)
+                rhs = -np.array([requests[i][2] for i in batch])
+                values = zip(diag, off, solve(diag, off, rhs))
+        for i, value in zip(batch, values):
+            try:
+                requests[i] = starts[i].send(value)
+            except StopIteration as stop:
+                out[i] = stop.value
+                del requests[i]
+    return out
 
 
 def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
     """Damped Newton in displacement coordinates; returns (u, residual_sup, ok)."""
-    u = np.array(u0, dtype=float)
     q = prob.q
 
     def solve(diag, off, rhs):
@@ -300,8 +409,9 @@ def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
             s = -g
         return s
 
-    return _damped_newton(u, slice(None), prob.gradient, prob.action_fast,
-                          prob.hessian_parts, solve, fallback, opts)
+    # one start, so solve and the model only ever see one state
+    return _damped_newton(np.asarray(u0, dtype=float)[None], slice(None), prob.gradient,
+                          prob.action_fast, prob.hessian_parts, solve, fallback, opts)[0]
 
 
 def certify_psd_periodic_u(prob: PeriodicProblem, u, shift=1e-8):
@@ -444,26 +554,75 @@ def segment_action(model: GeneratingModel, w: np.ndarray) -> float:
 
 
 def _segment_action_fast(model, w, lo, hi):
-    # only the steps touching free sites [lo, hi)
+    # only the steps touching free sites [lo, hi), one total per row of w
     a, b = lo - 1, hi
-    return float(np.sum(model.eval_h(w[a:b], w[a + 1 : b + 1])))
+    return model.eval_h(w[..., a:b], w[..., a + 1 : b + 1]).sum(axis=-1)
 
 
 def segment_gradient(model, w, lo, hi):
     return np.asarray(
-        model.d2h(w[lo - 1 : hi - 1], w[lo:hi]) + model.d1h(w[lo:hi], w[lo + 1 : hi + 1]),
+        model.d2h(w[..., lo - 1 : hi - 1], w[..., lo:hi])
+        + model.d1h(w[..., lo:hi], w[..., lo + 1 : hi + 1]),
         dtype=float,
     )
 
 
 def segment_hessian_parts(model, w, lo, hi):
     diag = np.asarray(
-        model.d11h(w[lo:hi], w[lo + 1 : hi + 1]) + model.d22h(w[lo - 1 : hi - 1], w[lo:hi]),
+        model.d11h(w[..., lo:hi], w[..., lo + 1 : hi + 1])
+        + model.d22h(w[..., lo - 1 : hi - 1], w[..., lo:hi]),
         dtype=float,
     )
-    off = np.asarray(model.d12h(w[lo : hi - 1], w[lo + 1 : hi]), dtype=float)
+    off = np.asarray(model.d12h(w[..., lo : hi - 1], w[..., lo + 1 : hi]), dtype=float)
     off = np.atleast_1d(off)
     return diag, off
+
+
+def solve_tridiag_stack(diag, off, rhs):
+    """Per-row solutions of the tridiagonal systems (diag[j], off[j]), None for a failed row.
+
+    One system (1-D diag) is solved as solve_tridiag_sym solves it.  Stacked
+    rows all go through one dgtsv on the block-diagonal stack.  Each block
+    ends with a zero coupling to the next, so elimination stays inside its
+    block and adds or subtracts only signed zeros across the seam.  When the
+    stacked solve fails or any entry is non-finite (0 * inf would poison the
+    neighbouring block), every row is solved alone.
+    """
+    if diag.ndim == 1:
+        return solve_tridiag_sym(diag, off, rhs)
+    m, k = diag.shape
+    if m > 1 and k > 1:
+        couple = np.zeros((m, k))
+        couple[:, :-1] = off
+        couple = couple.ravel()[:-1]
+        *_, out, info = dgtsv(couple, diag.ravel(), couple, rhs.ravel())
+        if info == 0 and np.all(np.isfinite(out)):
+            return out.reshape(m, k)
+    return [solve_tridiag_sym(d, o, r) for d, o, r in zip(diag, off, rhs)]
+
+
+def newton_segment_starts(model, W0, n_fix_left, n_fix_right, opts: SolveOptions):
+    """newton_segment for every row of W0 at once: one (w, residual_sup, converged) per row.
+
+    The rows share one model evaluation and one stacked tridiagonal solve per
+    iterate; each row's result equals its own newton_segment bit for bit.
+    """
+    W = np.asarray(W0, dtype=float)
+    n = W.shape[1]
+    lo, hi = n_fix_left, n - n_fix_right
+    if n_fix_left < 1 or n_fix_right < 1:
+        raise ValueError("segment needs at least one clamped site per end")
+    if hi <= lo:
+        return [(w.copy(), 0.0, True) for w in W]
+    return _damped_newton(
+        W, slice(lo, hi),
+        lambda x: segment_gradient(model, x, lo, hi),
+        lambda x: _segment_action_fast(model, x, lo, hi),
+        lambda x: segment_hessian_parts(model, x, lo, hi),
+        solve_tridiag_stack,
+        lambda diag, off, g: modified_newton_direction(tridiag_dense(diag, off), g),
+        opts,
+    )
 
 
 def newton_segment(model, w0, n_fix_left, n_fix_right, opts: SolveOptions):
@@ -472,22 +631,7 @@ def newton_segment(model, w0, n_fix_left, n_fix_right, opts: SolveOptions):
     w0 holds all site values; the first n_fix_left and last n_fix_right stay
     fixed.  Returns (w, residual_sup, converged); residual over free sites.
     """
-    w = np.array(w0, dtype=float)
-    n = len(w)
-    lo, hi = n_fix_left, n - n_fix_right
-    if n_fix_left < 1 or n_fix_right < 1:
-        raise ValueError("segment needs at least one clamped site per end")
-    if hi <= lo:
-        return w, 0.0, True
-    return _damped_newton(
-        w, slice(lo, hi),
-        lambda x: segment_gradient(model, x, lo, hi),
-        lambda x: _segment_action_fast(model, x, lo, hi),
-        lambda x: segment_hessian_parts(model, x, lo, hi),
-        solve_tridiag_sym,
-        lambda diag, off, g: modified_newton_direction(tridiag_dense(diag, off), g),
-        opts,
-    )
+    return newton_segment_starts(model, [w0], n_fix_left, n_fix_right, opts)[0]
 
 
 def certify_psd_segment(model, w, n_fix_left, n_fix_right, shift=1e-8):

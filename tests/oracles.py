@@ -8,9 +8,11 @@ keeps the dense and all-shifts linear-algebra paths that the solver's O(q)
 kernels replaced: dense Cholesky certificates, solve_banded solves and the
 class comparison over every index shift.  The next section keeps the two
 damped-Newton loops that the shared solver driver replaced, line for line,
-the next the per-site lift that TranslateLadder used before it was
-vectorized, and the last one the series-form model kernels and the np.roll
-neighbor differences that the lean kernels and indexed neighbors replaced.
+plus that driver as it was before it took a stack of states and stopped on
+a repeated state, the next the per-site lift that TranslateLadder used
+before it was vectorized, and the last one the series-form model kernels
+and the np.roll neighbor differences that the lean kernels and indexed
+neighbors replaced.
 """
 
 import numpy as np
@@ -352,6 +354,43 @@ def newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts):
     g = solvers.segment_gradient(model, w, lo, hi)
     res = float(np.abs(g).max())
     return w, res, res < opts.tol
+
+
+def damped_newton_loop(x, free, gradient, action, hessian_parts, solve, fallback, opts):
+    """The one-state driver before the batch and the cycle exit: every start
+    runs its own loop to max_iter.  The callbacks see one 1-D state."""
+    target = 0.25 * opts.tol
+    for _ in range(opts.max_iter):
+        g = gradient(x)
+        res = float(np.abs(g).max())
+        if res < target:
+            return x, res, True
+        diag, off = hessian_parts(x)
+        s = solve(diag, off, -g)
+        if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(x).max()):
+            s = fallback(diag, off, g)
+        slope = float(np.dot(g, s))
+        if slope >= 0.0:
+            s = -g
+            slope = -float(np.dot(g, g))
+        if res < 1e-6:
+            x[free] += s
+            continue
+        a0 = action(x)
+        t = 1.0
+        accepted = False
+        while t >= 2.0 ** -40:
+            xt = x.copy()
+            xt[free] += t * s
+            if action(xt) <= a0 + 1e-4 * t * slope:
+                x = xt
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            return x, res, False
+    res = float(np.abs(gradient(x)).max())
+    return x, res, res < opts.tol
 
 
 # ---- translate ladder, one site at a time --------------------------------------

@@ -5,10 +5,14 @@ the same residual and the same convergence flag, converged or not.  The
 periodic cases cover the q <= 3 skip of the structured solve, the dense
 eigenvalue-clipped fallback (q <= 200) and the Gershgorin-shifted fallback
 (q > 200); the segment cases replay the clamped solves that pn_barrier,
-verify_minimality and heteroclinic_segment actually make.
+verify_minimality and heteroclinic_segment actually make.  A start that
+leaves on a repeated state, and each row of a newton_segment_starts batch,
+must give what the loops give after max_iter.
 """
 
+import contextlib
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from staircase_lab.errors import NoConvergence
 from staircase_lab.model import GeneratingModel, frenkel_kontorova
 from staircase_lab.solvers import PeriodicProblem, SolveOptions, build_seeds
 
-from oracles import newton_periodic_u_loop, newton_segment_loop
+from oracles import damped_newton_loop, newton_periodic_u_loop, newton_segment_loop
 
 MODELS = {
     "fk": frenkel_kontorova(2.0),
@@ -77,21 +81,33 @@ def test_periodic_driver_matches_loop(name, q, max_iter, monkeypatch):
         assert dense.n == 0 and (cyclic.n > steps.n or max_iter == 3)
 
 
-def record_segment_solves(monkeypatch, run):
-    """The (w0, n_fix_left, n_fix_right, opts) of every newton_segment call in run()."""
+@contextlib.contextmanager
+def recording_segment_starts():
+    """Records (W0, n_fix_left, n_fix_right, opts) of every newton_segment_starts
+    call, which every newton_segment call makes with one row."""
     calls = []
-    original = solvers.newton_segment
+    original = solvers.newton_segment_starts
 
-    def recording(model, w0, n_fix_left, n_fix_right, opts):
-        calls.append((np.array(w0, dtype=float), n_fix_left, n_fix_right, opts))
-        return original(model, w0, n_fix_left, n_fix_right, opts)
+    def recording(model, W0, n_fix_left, n_fix_right, opts):
+        calls.append((np.array(W0, dtype=float), n_fix_left, n_fix_right, opts))
+        return original(model, W0, n_fix_left, n_fix_right, opts)
 
-    monkeypatch.setattr(solvers, "newton_segment", recording)
+    solvers.newton_segment_starts = recording
     try:
-        run()
-    except NoConvergence:
-        pass  # the failing sweeps are replayed too
-    monkeypatch.setattr(solvers, "newton_segment", original)
+        yield calls
+    finally:
+        solvers.newton_segment_starts = original
+
+
+def record_segment_solves(run):
+    """The (w0, n_fix_left, n_fix_right, opts) of every clamped-segment start in
+    run(): each newton_segment call and each row of a newton_segment_starts call."""
+    with recording_segment_starts() as batches:
+        try:
+            run()
+        except NoConvergence:
+            pass  # the failing sweeps are replayed too
+    calls = [(w0, left, right, opts) for W0, left, right, opts in batches for w0 in W0]
     assert calls
     return calls
 
@@ -106,67 +122,92 @@ def replay_segments(model, calls):
 
 @pytest.mark.parametrize("p,q", [(1, 3), (2, 5)])
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_segment_driver_matches_loop_on_pinned_solves(name, p, q, monkeypatch):
+def test_segment_driver_matches_loop_on_pinned_solves(name, p, q):
     model = MODELS[name]
     calls = record_segment_solves(
-        monkeypatch, lambda: hyperbolicity.pn_barrier(model, p, q))
+        lambda: hyperbolicity.pn_barrier(model, p, q))
     replay_segments(model, calls)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_segment_driver_matches_loop_on_minimality_windows(name, monkeypatch):
+def test_segment_driver_matches_loop_on_minimality_windows(name):
     model = MODELS[name]
     cfg = variational.minimize_periodic(model, 2, 5)
     calls = record_segment_solves(
-        monkeypatch, lambda: variational.verify_minimality(model, cfg, w=6))
+        lambda: variational.verify_minimality(model, cfg, w=6))
     replay_segments(model, calls)
 
 
 @pytest.mark.parametrize("name,p,q,T", [("fourier", 0, 1, 100), ("fk", 1, 2, 50)])
-def test_segment_driver_matches_loop_on_wide_heteroclinic_windows(name, p, q, T, monkeypatch):
+def test_segment_driver_matches_loop_on_wide_heteroclinic_windows(name, p, q, T):
     model = MODELS[name]
     calls = record_segment_solves(
-        monkeypatch, lambda: flatness.heteroclinic_segment(model, p, q, 1, T))
-    assert all(len(w0) > 200 for w0, *_ in calls)
+        lambda: flatness.heteroclinic_segment(model, p, q, 1, T))
+    assert len(calls) == 14 and all(len(w0) > 200 for w0, *_ in calls)
     replay_segments(model, calls)
 
 
 class Quadratic:
-    """Action |x[1]|^2 / 2 with x[0] and x[2] clamped and a chosen Newton step.
+    """Action (x[1] - center)^2 / 2 with x[0] and x[2] clamped and a chosen Newton step.
 
     solve scales -g by `gain`; fallback steps along -g and counts its calls.
+    The *_one methods see one state, as the oracle loop does; the driver's
+    callbacks also take stacks and apply them to each row.  gradients and
+    actions count the states evaluated.
     """
 
     free = slice(1, 2)
 
-    def __init__(self, gain, action=None):
+    def __init__(self, gain, action=None, center=0.0):
         self.gain = gain
+        self.center = center
         self.fallbacks = 0
+        self.gradients = 0
         self.actions = 0
-        self.action_of = action or (lambda x: 0.5 * float(x[1] * x[1]))
+        self.action_of = action or (lambda x: 0.5 * float((x[1] - center) ** 2))
 
-    def gradient(self, x):
-        return x[self.free].copy()
+    def gradient_one(self, x):
+        self.gradients += 1
+        return x[self.free] - self.center
 
-    def action(self, x):
+    def action_one(self, x):
         self.actions += 1
         return self.action_of(x)
 
-    def hessian_parts(self, x):
+    def parts_one(self, x):
         return np.ones(1), np.zeros(0)
 
-    def solve(self, diag, off, rhs):
+    def solve_one(self, diag, off, rhs):
         return self.gain * rhs
 
     def fallback(self, diag, off, g):
         self.fallbacks += 1
         return -g
 
+    def gradient(self, x):
+        return self.gradient_one(x) if x.ndim == 1 else np.array([self.gradient_one(r) for r in x])
+
+    def action(self, x):
+        return self.action_one(x) if x.ndim == 1 else np.array([self.action_one(r) for r in x])
+
+    def hessian_parts(self, x):
+        return np.ones(x.shape[:-1] + (1,)), np.zeros(x.shape[:-1] + (0,))
+
+    def solve(self, diag, off, rhs):
+        if diag.ndim == 1:
+            return self.solve_one(diag, off, rhs)
+        return [self.solve_one(d, o, r) for d, o, r in zip(diag, off, rhs)]
+
     def run(self, x0, max_iter=1):
-        x = np.array(x0, dtype=float)
+        x = np.array([x0], dtype=float)
         return solvers._damped_newton(
             x, self.free, self.gradient, self.action, self.hessian_parts,
-            self.solve, self.fallback, SolveOptions(max_iter=max_iter))
+            self.solve, self.fallback, SolveOptions(max_iter=max_iter))[0]
+
+    def loop(self, x0, max_iter=1):
+        return damped_newton_loop(
+            np.array(x0, dtype=float), self.free, self.gradient_one, self.action_one,
+            self.parts_one, self.solve_one, self.fallback, SolveOptions(max_iter=max_iter))
 
 
 @pytest.mark.parametrize("ratio,fallbacks", [(0.99, 0), (1.01, 1)])
@@ -206,3 +247,164 @@ def test_segment_without_free_sites_returns_its_input(left, right):
     w, res, ok = solvers.newton_segment(MODELS["fk"], w0, left, right, SolveOptions())
     assert w.tobytes() == w0.tobytes() and w is not w0
     assert res == 0.0 and ok
+
+
+# ---- cycle exit ---------------------------------------------------------------
+
+# Full steps that repeat a state: (x0, gain, center, cycle start, period).
+CYCLES = {
+    "two-cycle": ([0.0, 1e-9, 0.0], 2.0, 0.0, 0, 2),  # x[1] -> -x[1] -> x[1]
+    "stuck": ([0.0, 1.0 + 4e-7, 0.0], 1e-12, 1.0, 0, 1),  # step below ulp(x[1])
+}
+
+
+@pytest.mark.parametrize("max_iter", [5, 6, 119, 120])
+@pytest.mark.parametrize("kind", sorted(CYCLES))
+def test_driver_leaves_a_repeated_state_with_the_loops_answer(kind, max_iter):
+    x0, gain, center, start, period = CYCLES[kind]
+    prob = Quadratic(gain, center=center)
+    assert_same(prob.run(x0, max_iter), Quadratic(gain, center=center).loop(x0, max_iter))
+    # the loop evaluates the gradient max_iter + 1 times
+    assert prob.gradients <= start + period + 1
+
+
+@functools.lru_cache(maxsize=None)
+def gap_solves(name, p, q, seed=3):
+    """Every newton_segment_starts call of flatness_curve(p/q) on MODELS[name]."""
+    with recording_segment_starts() as batches:
+        flatness.flatness_curve(MODELS[name], p, q, options=SolveOptions(seed=seed))
+    assert batches and all(len(W0) == 14 for W0, *_ in batches)
+    return tuple(batches)
+
+
+def traced_loop(model, w0, left, right, opts):
+    """newton_segment_loop's result and the period of its first repeated state
+    (None if no state repeats)."""
+    states = []
+    original = solvers.segment_gradient
+
+    def recording(model_, w, lo, hi):
+        states.append(w.tobytes())
+        return original(model_, w, lo, hi)
+
+    solvers.segment_gradient = recording
+    try:
+        result = newton_segment_loop(model, w0, left, right, opts)
+    finally:
+        solvers.segment_gradient = original
+    seen = {}
+    for i, key in enumerate(states):
+        if key in seen:
+            return result, i - seen[key]
+        seen[key] = i
+    return result, None
+
+
+def test_segment_cycle_exit_matches_loop_on_gap_solves():
+    periods = set()
+    for name, p, q in [("fk", 0, 1), ("fk", 2, 5), ("fourier", 0, 1)]:
+        model = MODELS[name]
+        for W0, left, right, opts in gap_solves(name, p, q):
+            for w0 in W0:
+                for max_iter in (3, 119, 120, 121):
+                    o = dataclasses.replace(opts, max_iter=max_iter)
+                    want, period = traced_loop(model, w0, left, right, o)
+                    assert_same(solvers.newton_segment(model, w0, left, right, o), want)
+                    if max_iter == 120:
+                        periods.add(period)
+    assert {1, 2} <= periods
+
+
+# ---- one batch for the starts of a gap ------------------------------------------
+
+
+def replay_batch(model, W0, left, right, opts):
+    """Each row of newton_segment_starts against newton_segment and the loop."""
+    for max_iter in MAX_ITERS:
+        o = dataclasses.replace(opts, max_iter=max_iter)
+        got = solvers.newton_segment_starts(model, W0, left, right, o)
+        assert len(got) == len(W0)
+        for row, w0 in zip(got, W0):
+            assert_same(row, solvers.newton_segment(model, w0, left, right, o))
+            assert_same(row, newton_segment_loop(model, w0, left, right, o))
+
+
+@pytest.mark.parametrize("name,p,q", [("fk", 0, 1), ("fk", 1, 2), ("fk", 1, 3), ("fk", 2, 5),
+                                      ("fourier", 0, 1)])
+def test_batch_rows_match_single_starts_on_gap_solves(name, p, q):
+    for W0, left, right, opts in gap_solves(name, p, q):
+        replay_batch(MODELS[name], W0, left, right, opts)
+
+
+def test_batch_row_taking_the_dense_fallback(monkeypatch):
+    # V'' < 0 near x = 1/2 makes the middle row's Hessian negative definite:
+    # its structured step ascends and the dense direction replaces it; the
+    # other rows sit near the potential minimum
+    W0 = np.array([[0.0, 0.02, 0.05, 0.08, 0.1], [0.0, 0.49, 0.5, 0.51, 1.0],
+                   [0.0, 0.03, 0.06, 0.09, 0.12]])
+    dense = Calls(monkeypatch, solvers, "modified_newton_direction")
+    solvers.newton_segment_starts(MODELS["fk"], W0, 1, 1, SolveOptions(max_iter=1))
+    assert dense.n == 1
+    replay_batch(MODELS["fk"], W0, 1, 1, SolveOptions())
+
+
+# V = 0.3 sin(2 pi x) with no elastic term: the free-site Hessian is V''(x) on
+# the diagonal, zero at integers and subnormal at the smallest subnormal x.
+FLAT = GeneratingModel(family="fourier-potential", a=0.0, harmonics=((1, 0.0, 0.3),))
+BAD_BLOCKS = {
+    "zero-pivot": [0.0, 1.0, 2.0, 3.0, 4.0],  # dgtsv fails
+    "overflow": [0.0, 5e-324, 5e-324, 5e-324, 0.0],  # dgtsv returns inf
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_BLOCKS))
+def test_batch_row_whose_block_breaks_the_stacked_solve(bad, monkeypatch):
+    W0 = np.array([[0.0, 0.1, 0.2, 0.3, 0.4], BAD_BLOCKS[bad], [0.0, 0.15, 0.3, 0.45, 0.6]])
+    diag, off = solvers.segment_hessian_parts(FLAT, W0, 1, 4)
+    g = solvers.segment_gradient(FLAT, W0, 1, 4)
+    steps = solvers.solve_tridiag_stack(diag, off, -g)
+    assert steps[1] is None
+    for j in (0, 2):
+        assert steps[j].tobytes() == solvers.solve_tridiag_sym(diag[j], off[j], -g[j]).tobytes()
+    alone = Calls(monkeypatch, solvers, "solve_tridiag_sym")
+    solvers.newton_segment_starts(FLAT, W0, 1, 1, SolveOptions(max_iter=1))
+    assert alone.n == 3  # every row re-solved alone
+    replay_batch(FLAT, W0, 1, 1, SolveOptions())
+
+
+def test_batch_row_whose_armijo_search_gives_up(monkeypatch):
+    # near 1e15 positions are multiples of 1/8, and no trial step on this row
+    # lowers the action enough
+    stuck = 1e15 + 0.125 * np.array([0.0, 0.0, 12.0, 25.0, 39.0])
+    W0 = np.array([[0.0, 0.2, 0.5, 0.8, 1.0], stuck, [0.0, 0.3, 0.5, 0.6, 1.0]])
+    gradients = Calls(monkeypatch, solvers, "segment_gradient")
+    w, res, ok = newton_segment_loop(MODELS["fk"], stuck, 1, 1, SolveOptions())
+    assert not ok and res > 1e-6 and gradients.n < SolveOptions().max_iter
+    replay_batch(MODELS["fk"], W0, 1, 1, SolveOptions())
+
+
+@pytest.mark.parametrize("left,right", [(2, 2), (3, 1)])
+def test_batch_rows_without_free_sites(left, right):
+    W0 = np.array([[0.1, 0.7, 1.3, 1.9], [0.2, 0.4, 0.6, 0.8]])
+    replay_batch(MODELS["fk"], W0, left, right, SolveOptions())
+    for w, res, ok in solvers.newton_segment_starts(MODELS["fk"], W0, left, right,
+                                                    SolveOptions()):
+        assert not np.shares_memory(w, W0)
+
+
+def test_stacked_tridiagonal_solve_matches_each_block_alone():
+    rng = np.random.default_rng(5)
+    diag = rng.uniform(-3.0, 3.0, (14, 9))
+    off = rng.uniform(-1.0, 1.0, (14, 8))
+    rhs = rng.standard_normal((14, 9))
+    for singular in (None, 3):
+        if singular is not None:
+            diag[singular] = 0.0
+            off[singular] = 0.0
+        got = solvers.solve_tridiag_stack(diag, off, rhs)
+        for j in range(14):
+            want = solvers.solve_tridiag_sym(diag[j], off[j], rhs[j])
+            if j == singular:
+                assert got[j] is None and want is None
+            else:
+                assert got[j].tobytes() == want.tobytes()

@@ -19,6 +19,10 @@ prints one "<sha256>  <label>" line for:
   the benchmark's Frenkel-Kontorova model never takes.  (`pn-barrier 1/2`
   exits 1 with NoConvergence on this model; its exit code and message are
   digested like any other output.)
+- the raw loops of `flatness.concatenate_loop` for FK 0/1, 1/2, 1/3, 2/5
+  and FOURIER_MODEL 1/2, at every T of the default grid: the positions
+  bytes, `action_per_site` and `deformation_cost`.  The command outputs
+  carry only the loop action per site, not the segments behind it.
 
 BLAS is pinned to one thread and STAIRCASE_LAB_CACHE is ignored, as in the
 benchmark.  Everything is written to a temporary directory.
@@ -69,6 +73,8 @@ q = 1
 
 FOURIER_REQUESTS = (("beta", 1, 2), ("beta", 2, 5), ("hyperbolicity", 1, 2),
                     ("pn-barrier", 1, 2))
+
+LOOP_RATIONALS = ((0, 1), (1, 2), (1, 3), (2, 5))
 
 
 def sha(data) -> str:
@@ -124,8 +130,22 @@ def orbit_digests(bench, cli, model: Path, requests, flatness, tag: str, seed: i
     yield from tree_digests(label, d)
 
 
+def loop_digests(model, p: int, q: int, tag: str, seed: int):
+    """Each default-grid loop of p/q, solved as flatness_curve solves it."""
+    from staircase_lab import flatness, solvers, variational
+
+    options = solvers.SolveOptions(seed=seed)
+    config = variational.minimize_periodic(model, p, q, options)
+    for T in flatness.loop_t_grid(q):
+        loop = flatness.concatenate_loop(model, p, q, T, options, config=config)
+        label = f"{tag}loop {p}/{q} T={T} seed={seed}"
+        yield sha(loop.positions.tobytes()), f"{label} positions"
+        yield sha(repr(loop.action_per_site)), f"{label} action_per_site"
+        yield sha(repr(loop.deformation_cost)), f"{label} deformation_cost"
+
+
 def digests(bench, seed: int, work: Path):
-    from staircase_lab import cli, scan
+    from staircase_lab import cli, parse_model, scan
 
     for workers in (1, 2):
         text = bench.SCAN_CONFIG.format(seed=seed, workers=workers)
@@ -141,6 +161,8 @@ def digests(bench, seed: int, work: Path):
     model.write_text(bench.MODEL_TEXT)
     yield from orbit_digests(bench, cli, model, bench.ORBIT_REQUESTS, (1, 3), "", seed,
                              work)
+    for p, q in LOOP_RATIONALS:
+        yield from loop_digests(parse_model(bench.MODEL_TEXT), p, q, "", seed)
 
     tag = "fourier "
     yield from scan_digests(scan, FOURIER_SCAN.format(seed=seed),
@@ -148,6 +170,7 @@ def digests(bench, seed: int, work: Path):
     model = work / "fourier-model"
     model.write_text(FOURIER_MODEL)
     yield from orbit_digests(bench, cli, model, FOURIER_REQUESTS, (1, 2), tag, seed, work)
+    yield from loop_digests(parse_model(FOURIER_MODEL), 1, 2, tag, seed)
 
 
 def main(argv=None) -> int:
