@@ -2,8 +2,9 @@
 
 One JSON record per (model_hash, p, q), written atomically (temp file then
 os.replace) so concurrent writers leave exactly one intact record.  Records
-carry a sha256 checksum over their canonically rendered payload; a record
-that fails validation is quarantined (renamed aside) and recomputed rather
+carry a sha256 checksum over their canonically rendered payload, checked on
+the bytes read, so a record is accepted only as put laid it out; one that
+fails validation is quarantined (renamed aside) and recomputed rather
 than trusted.  Records are immutable: re-putting an identical key verifies
 agreement within 1e-12 instead of rewriting bytes.
 """
@@ -60,8 +61,34 @@ def render_json(obj, indent: int = 0) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
-def payload_checksum(payload: dict) -> str:
-    return hashlib.sha256(render_json(payload).encode("utf-8")).hexdigest()
+def payload_checksum(payload: dict | str) -> str:
+    """sha256 of render_json(payload); a str is taken as that rendering."""
+    text = payload if isinstance(payload, str) else render_json(payload)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# put writes render_json({"checksum": c, "payload": P}) + "\n", which reads
+# _HEAD + c + _MID + render_json(P, 2) + _TAIL + "\n".  render_json(P, 2) is
+# render_json(P) with two spaces after every newline (strings are escaped, so
+# every newline is layout), which lets a record be checked on its own bytes.
+_HEAD = '{\n  "checksum": "'
+_MID = '",\n  "payload": '
+_TAIL = "\n}"
+_CHECKSUM = slice(len(_HEAD), len(_HEAD) + 64)
+
+
+def _record_payload_text(text: str) -> tuple[str, str] | None:
+    """(stored checksum, render_json(P)) of a record laid out as put writes
+    it, the final newline optional; None for any other text."""
+    if text.endswith("\n"):
+        text = text[:-1]
+    if not (text.startswith(_HEAD) and text.startswith(_MID, _CHECKSUM.stop)
+            and text.endswith(_TAIL)):
+        return None
+    indented = text[_CHECKSUM.stop + len(_MID):-len(_TAIL)]
+    if indented.count("\n") != indented.count("\n  "):
+        return None
+    return text[_CHECKSUM], indented.replace("\n  ", "\n")
 
 
 class BetaCache:
@@ -84,28 +111,36 @@ class BetaCache:
         self.quarantined.append(str(aside))
 
     def _load(self, path: Path) -> dict | None:
-        """Validated record dict, or None after quarantining a bad file."""
+        """Validated payload dict, or None after quarantining a bad file.
+
+        A record is accepted only byte for byte as put wrote it: its payload
+        text must hash to the stored checksum, and only that text is parsed.
+        """
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-            payload = record["payload"]
-            stored = record["checksum"]
+                text = fh.read()
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError):
             self._quarantine(path)
             return None
-        if payload_checksum(payload) != stored:
+        parts = _record_payload_text(text)
+        payload = None
+        if parts is not None and payload_checksum(parts[1]) == parts[0]:
+            try:
+                payload = json.loads(parts[1])
+            except ValueError:
+                pass
+        if not isinstance(payload, dict):
             self._quarantine(path)
             return None
-        return record
+        return payload
 
     def get(self, model, p: int, q: int) -> PeriodicConfiguration | None:
         p, q = normalize_rational(p, q)
-        record = self._load(self.record_path(model.model_hash, p, q))
-        if record is None:
+        payload = self._load(self.record_path(model.model_hash, p, q))
+        if payload is None:
             return None
-        payload = record["payload"]
         if payload.get("model_hash") != model.model_hash:
             self._quarantine(self.record_path(model.model_hash, p, q))
             return None
@@ -137,9 +172,8 @@ class BetaCache:
             "seed_label": cfg.seed_label,
             "tool_version": __version__,
         }
-        existing = self._load(path)
-        if existing is not None:
-            old = existing["payload"]
+        old = self._load(path)
+        if old is not None:
             drift = abs(old["action_total"] - payload["action_total"])
             old_pos = np.asarray(old["positions"], dtype=float)
             new_pos = np.asarray(payload["positions"], dtype=float)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -41,7 +42,10 @@ from .variational import minimize_periodic
 import numpy as np
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main call and reused by later ones:
+    parse_args keeps no state in it and returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="staircase-lab",
         description="Minimal-action staircase experiments for twist-map models",
@@ -238,10 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except StaircaseLabError as exc:

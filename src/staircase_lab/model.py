@@ -34,6 +34,7 @@ from .errors import ConfigError, TwistViolated
 TWO_PI = 2.0 * math.pi
 
 FAMILIES = ("frenkel-kontorova", "fourier-potential")
+_DERIVED = ("_terms", "model_hash")  # cached properties, never pickled
 
 
 def _constant(c: float, x, xp):
@@ -102,8 +103,8 @@ class GeneratingModel:
         return tuple(t for t in terms if t[1] or t[2])
 
     def __getstate__(self):
-        # _terms is derived: pickle the fields only, as before it existed
-        return {k: v for k, v in self.__dict__.items() if k != "_terms"}
+        # _terms and model_hash are derived: pickle the fields only
+        return {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
 
     def potential(self, x):
         # V has period 1, and float mod by 1 is exact: reduce first so large
@@ -269,7 +270,7 @@ class GeneratingModel:
             parts.append(f"{int(n)}:{_canon(ca)}:{_canon(sa)}")
         return "|".join(parts)
 
-    @property
+    @cached_property
     def model_hash(self) -> str:
         return hashlib.sha256(self.canonical_string().encode()).hexdigest()
 

@@ -10,16 +10,21 @@ class comparison over every index shift.  The next section keeps the two
 damped-Newton loops that the shared solver driver replaced, line for line,
 plus that driver as it was before it took a stack of states and stopped on
 a repeated state, the next the per-site lift that TranslateLadder used
-before it was vectorized, and the last one the series-form model kernels
-and the np.roll neighbor differences that the lean kernels and indexed
-neighbors replaced.
+before it was vectorized, then the series-form model kernels and the
+np.roll neighbor differences that the lean kernels and indexed neighbors
+replaced, and last the cache-record check that parsed the whole record and
+re-rendered its payload, before records were checked on the bytes read.
 """
+
+import hashlib
+import json
 
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 
 from staircase_lab import solvers
+from staircase_lab.cache import render_json
 
 
 def fd_partials(model, x, xp, step=1e-5, step2=5e-4):
@@ -478,3 +483,23 @@ def dnxt_roll(prob, u):
 
 def dprev_roll(prob, u):
     return np.roll(u, 1) - u - prob.rat
+
+
+# ---- cache-record check by re-rendering -------------------------------------
+
+
+def rerender_check(text):
+    """Payload dict of a cache record's text, or None if the record fails.
+
+    Parses the whole record and compares the stored checksum with the sha256
+    of its payload rendered again, as BetaCache read records before it
+    checked their bytes.
+    """
+    try:
+        record = json.loads(text)
+        payload = record["payload"]
+        stored = record["checksum"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    actual = hashlib.sha256(render_json(payload).encode("utf-8")).hexdigest()
+    return payload if actual == stored else None

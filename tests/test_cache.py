@@ -1,9 +1,13 @@
 """Tests for the on-disk minimizer cache: round trips, checksums, quarantine."""
 
 import dataclasses
+import hashlib
+import importlib.util
 import json
 import math
 import os
+import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -11,10 +15,15 @@ import numpy as np
 import pytest
 
 from staircase_lab import cache as ch
+from staircase_lab import cli, parse_model, scan
 from staircase_lab.errors import CorruptRecord, VersionConflict
 from staircase_lab.model import frenkel_kontorova
 from staircase_lab.solvers import SolveOptions
 from staircase_lab.variational import beta_at, minimize_periodic
+
+from oracles import rerender_check
+
+BENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +187,177 @@ def test_beta_at_reads_through_the_cache(tmp_path, k2, half_config):
     path.write_text(ch.render_json(record))
     value = beta_at(k2, 1, 2, cache=cache)
     assert abs(value - (half_config.action_total + 2.0) / 2) < 1e-12
+
+
+# ---- the byte-level check ------------------------------------------------------
+
+
+def assert_rejected(tmp_path, k2, text):
+    """get quarantines the record text without raising; require raises."""
+    cache = ch.BetaCache(tmp_path)
+    path = cache.record_path(k2.model_hash, 1, 2)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    assert cache.get(k2, 1, 2) is None
+    assert not path.exists() and cache.quarantined == [str(path.with_suffix(".json.corrupt"))]
+    path.write_text(text)
+    with pytest.raises(CorruptRecord):
+        cache.require(k2, 1, 2)
+    assert not path.exists()
+
+
+def written(tmp_path, k2, half_config):
+    path = ch.BetaCache(tmp_path / "written").put(k2, half_config)
+    return path.read_text()
+
+
+def value_span(text, key):
+    """Start and end of the value of `key` in a record's text."""
+    start = text.index(f'"{key}": ') + len(key) + 4
+    end = text.index("]" if text[start] == "[" else ",", start)
+    return start, end
+
+
+@pytest.mark.parametrize("key", ["positions", "action_total"])
+def test_every_single_digit_change_is_rejected(tmp_path, k2, half_config, key):
+    text = written(tmp_path, k2, half_config)
+    start, end = value_span(text, key)
+    digits = [i for i in range(start, end) if text[i].isdigit()]
+    assert len(digits) >= 17
+    payload = json.loads(text)["payload"]
+    for i in digits:
+        changed = text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:]
+        assert_rejected(tmp_path / str(i), k2, changed)
+        # the re-render check accepts a change below float resolution only
+        assert rerender_check(changed) in (None, payload)
+
+
+def test_record_without_final_newline_validates(tmp_path, k2, half_config):
+    cache = ch.BetaCache(tmp_path)
+    path = cache.put(k2, half_config)
+    text = path.read_text()
+    assert text.endswith("}\n")
+    path.write_text(text[:-1])
+    back = cache.get(k2, 1, 2)
+    assert back is not None and cache.quarantined == []
+    assert np.array_equal(back.positions, half_config.positions)
+
+
+def _reindented(text):
+    return re.sub(r"\n( +)", lambda m: "\n" + 2 * m.group(1), text)
+
+
+def _checksum_of(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _crafted(payload_text):
+    """A record laid out as put writes it around any payload text, with the
+    sha256 of that text as its checksum."""
+    indented = payload_text.replace("\n", "\n  ")
+    return f'{{\n  "checksum": "{_checksum_of(payload_text)}",\n  "payload": {indented}\n}}\n'
+
+
+REWRITES = {
+    "json.dumps": lambda text, record: json.dumps(record),
+    "json.dumps indented": lambda text, record: json.dumps(record, indent=2, sort_keys=True),
+    "re-indented render_json": lambda text, record: _reindented(text),
+    "payload brace dedented": lambda text, record: text.replace("\n  }\n}", "\n}\n}"),
+    "second payload key": lambda text, record: (
+        text.rstrip("\n")[:-2] + ',\n  "payload": ' + ch.render_json(record["payload"], 2)
+        + "\n}\n"),
+    "numeric checksum": lambda text, record: ch.render_json({**record, "checksum": 12345}),
+    "missing checksum": lambda text, record: ch.render_json({"payload": record["payload"]}),
+    "list record": lambda text, record: ch.render_json([record]),
+    "string record": lambda text, record: json.dumps(text),
+    "trailing byte": lambda text, record: text + "x",
+    "trailing newline": lambda text, record: text + "\n",
+    "trailing space": lambda text, record: text.rstrip("\n") + " ",
+    "trailing record": lambda text, record: text + text,
+    "list payload": lambda text, record: _crafted(ch.render_json([record["payload"]])),
+    "payload not json": lambda text, record: _crafted("not json"),
+}
+
+
+@pytest.mark.parametrize("case", list(REWRITES))
+def test_rewritten_records_are_rejected(tmp_path, k2, half_config, case):
+    text = written(tmp_path, k2, half_config)
+    changed = REWRITES[case](text, json.loads(text))
+    assert changed != text
+    assert_rejected(tmp_path / "case", k2, changed)
+
+
+def test_value_equal_reformats_pass_only_the_rerender_oracle(tmp_path, k2, half_config):
+    # the one change of verdict: a record with the written values and
+    # checksum that is not laid out as put wrote it
+    text = written(tmp_path, k2, half_config)
+    record = json.loads(text)
+    for case in ("json.dumps", "re-indented render_json", "payload brace dedented"):
+        assert rerender_check(REWRITES[case](text, record)) == record["payload"]
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench/run.py, for its scan config, model and query rationals."""
+    spec = importlib.util.spec_from_file_location("bench_run_for_cache_tests", BENCH_RUN)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+def oracle_config(payload):
+    """The configuration BetaCache.get built from a re-render-checked payload."""
+    return dict(
+        positions=np.array(payload["positions"], dtype=float).tobytes(),
+        action_total=float(payload["action_total"]),
+        residual_sup=float(payload["residual_sup"]),
+        is_certified_minimal=bool(payload["is_certified_minimal"]),
+        seed_label=str(payload.get("seed_label", "")),
+    )
+
+
+def assert_checks_agree(root, model):
+    cache = ch.BetaCache(root)
+    records = sorted((root / model.model_hash).glob("*.json"))
+    assert records
+    for path in records:
+        text = path.read_text()
+        payload = rerender_check(text)
+        assert payload is not None, path.name
+        stored = json.loads(text)["checksum"]
+        assert ch._record_payload_text(text) == (stored, ch.render_json(payload))
+        assert ch.payload_checksum(ch.render_json(payload)) == stored
+        got = cache.get(model, payload["p"], payload["q"])
+        assert got is not None, path.name
+        assert dict(positions=got.positions.tobytes(), action_total=got.action_total,
+                    residual_sup=got.residual_sup,
+                    is_certified_minimal=got.is_certified_minimal,
+                    seed_label=got.seed_label) == oracle_config(payload), path.name
+    assert cache.quarantined == []
+    return len(records)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_scan_records_pass_both_checks(tmp_path, bench, seed):
+    text = bench.SCAN_CONFIG.format(seed=seed, workers=1)
+    config = dataclasses.replace(scan.parse_scan_config(text), out_dir=str(tmp_path / "out"),
+                                 cache_dir=str(tmp_path / "cache"))
+    code, _ = scan.run_scan(config)
+    assert code == 0
+    assert assert_checks_agree(tmp_path / "cache", config.model) > 50
+
+
+def test_query_prefill_records_pass_both_checks(tmp_path, capsys, bench):
+    model_file = tmp_path / "fk2.model"
+    model_file.write_text(bench.MODEL_TEXT)
+    cache = tmp_path / "cache"
+    for p, q in bench.farey(bench.QUERY_ORDER):
+        assert cli.main(["beta", "-p", str(p), "-q", str(q), "--model", str(model_file),
+                         "--cache-dir", str(cache), "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert assert_checks_agree(cache, parse_model(bench.MODEL_TEXT)) > 23
 
 
 # ---- concurrency ---------------------------------------------------------------

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -177,6 +180,23 @@ def test_model_hash_deterministic():
     assert m1.model_hash == m2.model_hash
     assert m1.model_hash != frenkel_kontorova(0.5 + 1e-12).model_hash
     assert len(m1.model_hash) == 64
+
+
+@pytest.mark.parametrize("model", [
+    frenkel_kontorova(2.0),
+    fourier_model(0.8, [(1, -0.3, 0.1), (2, 0.0, -0.04), (3, 0.02, 0.0)]),
+], ids=["fk", "fourier"])
+def test_model_hash_is_cached_and_never_pickled(model):
+    model = dataclasses.replace(model)
+    want = hashlib.sha256(model.canonical_string().encode()).hexdigest()
+    fields = {f.name for f in dataclasses.fields(model)}
+    assert model.model_hash == want
+    assert model.__dict__["model_hash"] == want  # computed once, then read
+    model.potential(0.3)  # fills the cached terms too
+    assert set(model.__getstate__()) == fields
+    back = pickle.loads(pickle.dumps(model))
+    assert set(back.__dict__) == fields
+    assert back == model and back.model_hash == want
 
 
 def test_model_file_roundtrip(tmp_path):

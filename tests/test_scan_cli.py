@@ -16,6 +16,7 @@ import pytest
 import staircase_lab
 from staircase_lab import __version__
 from staircase_lab import scan as sc
+from staircase_lab import cli
 from staircase_lab.cli import main
 from staircase_lab.errors import ConfigError, NoConvergence, NonconvexTerm
 from staircase_lab.scan import parse_scan_config, run_scan
@@ -674,6 +675,48 @@ def test_probe_kam_prints_the_scan_probe_records(capsys, tmp_path):
     record = json.loads(capsys.readouterr().out)
     assert record["probes"] and record["probes"] == report["results"]["probes"]
     assert record["ac_part"] == report["results"]["ac_part"]
+
+
+COMMON_ARGS = {"command", "model", "cache_dir", "out_dir", "workers", "seed"}
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(20):
+        assert main(["beta", "-p", "1", "-q", "2"]) == 2
+    capsys.readouterr()
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 19, 1)
+
+
+def test_reused_parser_keeps_no_state_between_commands(capsys, monkeypatch, tmp_path,
+                                                      k0_model_file):
+    seen = []
+    for name, fn in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            lambda args, fn=fn: seen.append(dict(vars(args))) or fn(args))
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text("[model]\nfamily = frenkel-kontorova\nk = 0.0\n"
+                   "[scan]\nq_max = 3\nc_grid = 11\n[probe]\ncf = 0,1,1,1,1,1\n")
+    beta = ["beta", "-p", "1", "-q", "3", "--model", k0_model_file]
+
+    assert main(beta) == 0
+    first = capsys.readouterr()
+    assert main(["probe-kam", str(cfg)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as usage:
+        main(["beta", "-p", "one", "-q", "3"])
+    assert usage.value.code == 2 and "invalid int value" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as help_:
+        main(["--help"])
+    assert help_.value.code == 0 and "probe-kam" in capsys.readouterr().out
+    assert main(beta) == 0
+    assert capsys.readouterr() == first
+
+    assert [args["command"] for args in seen] == ["beta", "probe-kam", "beta"]
+    assert set(seen[0]) == COMMON_ARGS | {"p", "q"}
+    assert set(seen[1]) == COMMON_ARGS | {"config"}
+    assert seen[2] == seen[0]
 
 
 def test_cli_env_var_sets_cache_dir(tmp_path, monkeypatch, capsys, k0_model_file):

@@ -23,6 +23,12 @@ prints one "<sha256>  <label>" line for:
   and FOURIER_MODEL 1/2, at every T of the default grid: the positions
   bytes, `action_per_site` and `deformation_cost`.  The command outputs
   carry only the loop action per site, not the segments behind it.
+- `beta` with `--cache-dir` at each query rational of the benchmark (the
+  Farey set of order QUERY_ORDER): run cold into a fresh cache directory,
+  then warm twice, plus that cache tree.  Then the record of CORRUPT_AT gets
+  a flipped digit (the leading digit of its first position, a change that
+  any checksum check rejects), and the query that quarantines and
+  recomputes it, plus the tree it leaves, are digested too.
 
 BLAS is pinned to one thread and STAIRCASE_LAB_CACHE is ignored, as in the
 benchmark.  Everything is written to a temporary directory.
@@ -75,6 +81,8 @@ FOURIER_REQUESTS = (("beta", 1, 2), ("beta", 2, 5), ("hyperbolicity", 1, 2),
                     ("pn-barrier", 1, 2))
 
 LOOP_RATIONALS = ((0, 1), (1, 2), (1, 3), (2, 5))
+
+CORRUPT_AT = (2, 5)  # the warm-cache query whose own record is corrupted
 
 
 def sha(data) -> str:
@@ -144,6 +152,32 @@ def loop_digests(model, p: int, q: int, tag: str, seed: int):
         yield sha(repr(loop.deformation_cost)), f"{label} deformation_cost"
 
 
+def warm_digests(bench, cli, model: Path, seed: int, work: Path):
+    """Cold, then twice warm, beta queries per rational; then one corrupted record."""
+    def query(p, q, cache):
+        return ["beta", "-p", str(p), "-q", str(q), "--model", str(model),
+                "--cache-dir", str(cache), "--seed", str(seed)]
+
+    for p, q in bench.farey(bench.QUERY_ORDER):
+        cache = work / f"warm-{seed}-{p}_{q}"
+        for run in ("cold", "warm 1", "warm 2"):
+            yield from cli_digests(bench, cli, f"beta {p}/{q} {run} seed={seed}",
+                                   query(p, q, cache))
+        yield from tree_digests(f"beta {p}/{q} cache seed={seed}", cache)
+
+    p, q = CORRUPT_AT
+    cache = work / f"warm-{seed}-{p}_{q}"
+    record = next(cache.rglob(f"{p}_{q}.json"))
+    text = record.read_text(encoding="utf-8")
+    i = text.index('"positions": [') + len('"positions": [')
+    i += next(j for j, ch in enumerate(text[i:]) if ch.isdigit())
+    record.write_text(text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:],
+                      encoding="utf-8")
+    label = f"beta {p}/{q} corrupted record seed={seed}"
+    yield from cli_digests(bench, cli, label, query(p, q, cache))
+    yield from tree_digests(label, cache)
+
+
 def digests(bench, seed: int, work: Path):
     from staircase_lab import cli, parse_model, scan
 
@@ -163,6 +197,7 @@ def digests(bench, seed: int, work: Path):
                              work)
     for p, q in LOOP_RATIONALS:
         yield from loop_digests(parse_model(bench.MODEL_TEXT), p, q, "", seed)
+    yield from warm_digests(bench, cli, model, seed, work)
 
     tag = "fourier "
     yield from scan_digests(scan, FOURIER_SCAN.format(seed=seed),
