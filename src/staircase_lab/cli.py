@@ -186,7 +186,6 @@ def _cmd_hyperbolicity(args) -> int:
         "p": report.p, "q": report.q, "trace": report.trace, "det": report.det,
         "eigenvalues": [[ev.real, ev.imag] for ev in report.eigenvalues],
         "lyapunov": report.lyapunov, "phonon_gap": report.phonon_gap,
-        "C0_estimate": report.C0_estimate,
         "spectrum": [float(s) for s in report.spectrum],
     }))
     return 0

@@ -32,7 +32,6 @@ class HyperbolicityReport:
     lyapunov: float
     phonon_gap: float | None = None
     pn_barrier: float | None = None
-    C0_estimate: float | None = None
     spectrum: np.ndarray | None = field(default=None, repr=False)
 
 

@@ -9,9 +9,9 @@ differs between the problems:
 - newton_periodic_u: q-periodic configurations in displacement coordinates.
   The Hessian is tridiagonal plus a corner entry, solved as a rank-one
   Sherman-Morrison update of LAPACK dgtsv (both right-hand sides on one
-  factorization; skipped for q <= 3).  Its fallback is a dense
-  eigenvalue-clipped direction (q <= 200) or a Gershgorin-shifted cyclic
-  solve (larger q).
+  factorization; skipped for q <= 3).  Its fallback is a Gershgorin-shifted
+  cyclic solve, O(q); only at q <= 3, where the couplings fold onto at most
+  a 3x3 matrix, is it the dense eigenvalue-clipped direction.
 - newton_segment: interior sites of a segment with clamped ends.  The
   Hessian is tridiagonal (dgtsv); the fallback is the dense direction.
   newton_segment_starts runs many starts of one segment problem together.
@@ -244,12 +244,16 @@ class PeriodicProblem:
         """Index shift whose representative has the smallest x0 in [0,1)."""
         z = self.z(u)
         order = np.argsort(z, kind="stable")
-        best = int(order[0])
-        # break exact ties lexicographically on the rolled fractional sequence
-        ties = [int(m) for m in order if abs(z[m] - z[best]) <= 1e-12]
-        if len(ties) > 1:
-            best = min(ties, key=lambda m: tuple(np.roll(z, -m)))
-        return best
+        ties = order[np.abs(z[order] - z[order[0]]) <= 1e-12]
+        # break exact ties lexicographically on the rolled fractional
+        # sequence: keep the ties whose k-th rolled entry is smallest, k =
+        # 0, 1, ...; a tie that survives all q keeps its place in order
+        for k in range(self.q):
+            if len(ties) == 1:
+                break
+            zk = z[(ties + k) % self.q]
+            ties = ties[zk == zk.min()]
+        return int(ties[0])
 
     def to_lift(self, u, shift=None):
         """Canonical lift period: x0 in [0,1), x_{i+q} = x_i + p."""
@@ -399,9 +403,10 @@ def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
         return solve_cyclic_tridiag_sym(diag, off[:-1], float(off[-1]), rhs)
 
     def fallback(diag, off, g):
-        if q <= 200:
+        if q <= 3:
+            # the couplings fold onto at most a 3x3 matrix
             return modified_newton_direction(tridiag_dense(diag, off), g)
-        # Gershgorin shift keeps the fallback O(q) at large periods
+        # a Gershgorin shift makes the cyclic matrix positive definite: O(q)
         radius = np.abs(off) + np.abs(np.roll(off, 1))
         mu = max(0.0, -float((diag - radius).min())) + 1e-3 * max(1.0, float(np.abs(diag).max()))
         s = solve_cyclic_tridiag_sym(diag + mu, off[:-1], float(off[-1]), -g)

@@ -5,15 +5,17 @@ differences instead of analytic partials, dense grid search plus coordinate
 descent instead of Newton, and direct grid sweeps for barriers.  Slow but
 simple, so the main library can be checked against them.  The last section
 keeps the dense and all-shifts linear-algebra paths that the solver's O(q)
-kernels replaced: dense Cholesky certificates, solve_banded solves and the
-class comparison over every index shift.  The next section keeps the two
-damped-Newton loops that the shared solver driver replaced, line for line,
-plus that driver as it was before it took a stack of states and stopped on
-a repeated state, the next the per-site lift that TranslateLadder used
-before it was vectorized, then the series-form model kernels and the
-np.roll neighbor differences that the lean kernels and indexed neighbors
-replaced, and last the cache-record check that parsed the whole record and
-re-rendered its payload, before records were checked on the bytes read.
+kernels replaced: dense Cholesky certificates, solve_banded solves, the
+class comparison over every index shift and the canonical shift's tie-break
+on tuples.  The next section keeps the two damped-Newton loops that the
+shared solver driver replaced, line for line (the periodic one also with
+its former dense fallback for every q <= 200), plus that driver as it was
+before it took a stack of states and stopped on a repeated state, the next
+the per-site lift that TranslateLadder used before it was vectorized, then
+the series-form model kernels and the np.roll neighbor differences that
+the lean kernels and indexed neighbors replaced, and last the cache-record
+check that parsed the whole record and re-rendered its payload, before
+records were checked on the bytes read.
 """
 
 import hashlib
@@ -260,11 +262,26 @@ def class_distance_all_shifts(x1, x2, q):
     return best
 
 
+def canonical_shift_tuples(prob, u):
+    """PeriodicProblem.canonical_shift with each tie's rolled sequence compared as a tuple."""
+    z = prob.z(u)
+    order = np.argsort(z, kind="stable")
+    best = int(order[0])
+    ties = [int(m) for m in order if abs(z[m] - z[best]) <= 1e-12]
+    if len(ties) > 1:
+        best = min(ties, key=lambda m: tuple(np.roll(z, -m)))
+    return best
+
+
 # ---- the two Newton loops replaced by the shared damped-Newton driver -------
 
 
-def newton_periodic_u_loop(prob, u0, opts):
-    """Damped Newton in displacement coordinates; returns (u, residual_sup, ok)."""
+def _newton_periodic_u_loop(prob, u0, opts, dense_max_q):
+    """Damped Newton in displacement coordinates; returns (u, residual_sup, ok).
+
+    The fallback is the dense eigenvalue-clipped step up to q = dense_max_q
+    and the Gershgorin-shifted cyclic solve above.
+    """
     u = np.array(u0, dtype=float)
     q = prob.q
     target = 0.25 * opts.tol  # margin so re-evaluation stays under tol
@@ -280,7 +297,7 @@ def newton_periodic_u_loop(prob, u0, opts):
         else:
             s = solvers.solve_cyclic_tridiag_sym(diag, off[:-1], float(off[-1]), -g)
         if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(u).max()):
-            if q <= 200:
+            if q <= dense_max_q:
                 s = solvers.modified_newton_direction(solvers.tridiag_dense(diag, off), g)
             else:
                 # Gershgorin shift keeps the fallback O(q) at large periods
@@ -311,6 +328,16 @@ def newton_periodic_u_loop(prob, u0, opts):
             return u, res, False
     res = float(np.abs(prob.gradient(u)).max())
     return u, res, res < opts.tol
+
+
+def newton_periodic_u_loop(prob, u0, opts):
+    """The periodic loop with the solver's fallback rule: dense only at q <= 3."""
+    return _newton_periodic_u_loop(prob, u0, opts, dense_max_q=3)
+
+
+def newton_periodic_u_loop_dense(prob, u0, opts):
+    """The periodic loop as it was while the dense fallback served every q <= 200."""
+    return _newton_periodic_u_loop(prob, u0, opts, dense_max_q=200)
 
 
 def newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts):

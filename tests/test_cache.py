@@ -2,12 +2,10 @@
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import math
 import os
 import re
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -22,8 +20,6 @@ from staircase_lab.solvers import SolveOptions
 from staircase_lab.variational import beta_at, minimize_periodic
 
 from oracles import rerender_check
-
-BENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
 @pytest.fixture(scope="module")
@@ -294,17 +290,6 @@ def test_value_equal_reformats_pass_only_the_rerender_oracle(tmp_path, k2, half_
     record = json.loads(text)
     for case in ("json.dumps", "re-indented render_json", "payload brace dedented"):
         assert rerender_check(REWRITES[case](text, record)) == record["payload"]
-
-
-@pytest.fixture(scope="module")
-def bench():
-    """perfbench/run.py, for its scan config, model and query rationals."""
-    spec = importlib.util.spec_from_file_location("bench_run_for_cache_tests", BENCH_RUN)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    yield module
-    del sys.modules[spec.name]
 
 
 def oracle_config(payload):

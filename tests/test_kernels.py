@@ -1,8 +1,11 @@
 """The O(q) solver kernels against the dense and all-shifts oracles they replaced."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from staircase_lab import scan
 from staircase_lab.model import GeneratingModel, frenkel_kontorova
 from staircase_lab.solvers import (
     PeriodicProblem,
@@ -19,6 +22,7 @@ from staircase_lab.solvers import (
 from oracles import (
     banded_cyclic_solve,
     banded_solve,
+    canonical_shift_tuples,
     cholesky_psd_periodic,
     cholesky_psd_segment,
     class_distance_all_shifts,
@@ -199,3 +203,48 @@ def test_class_distance_across_the_seam(q):
         want = class_distance_all_shifts(x, y, q)
         assert got <= tol and want <= tol and got == want
         assert class_distance(y, x, q, tol) == class_distance_all_shifts(y, x, q)
+
+
+# ---- canonical shift ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_canonical_shift_matches_tuple_tie_break_on_scan_solves(tmp_path, bench, seed,
+                                                                 monkeypatch):
+    seen = []
+    original = PeriodicProblem.canonical_shift
+
+    def recording(prob, u):
+        seen.append((prob, u.copy()))
+        return original(prob, u)
+
+    monkeypatch.setattr(PeriodicProblem, "canonical_shift", recording)
+    text = bench.SCAN_CONFIG.format(seed=seed, workers=1)
+    config = dataclasses.replace(scan.parse_scan_config(text), out_dir=str(tmp_path / "out"),
+                                 cache_dir=str(tmp_path / "cache"))
+    assert scan.run_scan(config)[0] == 0
+    assert len({(prob.p, prob.q) for prob, _ in seen}) > 80
+    for prob, u in seen:
+        assert original(prob, u) == canonical_shift_tuples(prob, u)
+
+
+def tie_cases():
+    """(z, expected shift or None): fractional sequences with exact ties."""
+    yield np.full(6, 0.3), 0  # every shift gives the same sequence
+    # a period-4 pattern: ties at 1, 5 and 9 survive all 12 rolled positions
+    yield np.roll(np.tile([0.2, 0.5, 0.2, 0.7], 3), 5), 1
+    # 3 is within 1e-12 of the minimum but not equal; 1 and 4 part at k = 1
+    yield np.array([0.4, 0.1, 0.9, 0.1 + 5e-13, 0.1, 0.3]), 4
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        yield rng.integers(0, 4, int(rng.integers(2, 40))) / 8.0, None
+
+
+def test_canonical_shift_matches_tuple_tie_break_on_exact_ties():
+    for z, expected in tie_cases():
+        # p = 0 makes the displacements the fractional sequence itself
+        prob = PeriodicProblem(MODELS["fk"], 0, len(z))
+        assert prob.z(z).tobytes() == z.tobytes()
+        got = prob.canonical_shift(z)
+        assert got == canonical_shift_tuples(prob, z)
+        assert expected is None or got == expected

@@ -2,9 +2,9 @@
 
 Both adapters must reproduce the oracle loops bit for bit: the same state,
 the same residual and the same convergence flag, converged or not.  The
-periodic cases cover the q <= 3 skip of the structured solve, the dense
-eigenvalue-clipped fallback (q <= 200) and the Gershgorin-shifted fallback
-(q > 200); the segment cases replay the clamped solves that pn_barrier,
+periodic cases cover the q <= 3 skip of the structured solve with its dense
+eigenvalue-clipped fallback, and the Gershgorin-shifted fallback of every
+q >= 4; the segment cases replay the clamped solves that pn_barrier,
 verify_minimality and heteroclinic_segment actually make.  A start that
 leaves on a repeated state, and each row of a newton_segment_starts batch,
 must give what the loops give after max_iter.
@@ -17,12 +17,17 @@ import functools
 import numpy as np
 import pytest
 
-from staircase_lab import flatness, hyperbolicity, solvers, variational
+from staircase_lab import flatness, hyperbolicity, scan, solvers, variational
 from staircase_lab.errors import NoConvergence
 from staircase_lab.model import GeneratingModel, frenkel_kontorova
 from staircase_lab.solvers import PeriodicProblem, SolveOptions, build_seeds
 
-from oracles import damped_newton_loop, newton_periodic_u_loop, newton_segment_loop
+from oracles import (
+    damped_newton_loop,
+    newton_periodic_u_loop,
+    newton_periodic_u_loop_dense,
+    newton_segment_loop,
+)
 
 MODELS = {
     "fk": frenkel_kontorova(2.0),
@@ -73,12 +78,43 @@ def test_periodic_driver_matches_loop(name, q, max_iter, monkeypatch):
     if q <= 3:
         # no structured solve is tried; every step is the dense one
         assert cyclic.n == 0 and dense.n > 0
-    elif q <= 200:
-        assert dense.n > 0
     else:
         # a second cyclic solve in one step is the Gershgorin-shifted fallback,
         # which three steps need not reach
         assert dense.n == 0 and (cyclic.n > steps.n or max_iter == 3)
+
+
+def assert_minimizers_match_dense_fallback(text, extra, monkeypatch):
+    """best_minimizer against the solve whose fallback is dense for every q <= 200,
+    on each rational with 4 <= q <= 200 in the work list of the scan config
+    `text`, plus `extra`: the same class, certificate and beta."""
+    config = scan.parse_scan_config(text)
+    rationals = [(p, q) for p, q in scan.work_list(config) if 4 <= q <= 200] + extra
+    opts = SolveOptions(seed=0)
+    dense = Calls(monkeypatch, solvers, "modified_newton_direction")
+    for p, q in rationals:
+        taken = dense.n
+        got = solvers.best_minimizer(config.model, p, q, opts)
+        assert dense.n == taken
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "newton_periodic_u", newton_periodic_u_loop_dense)
+            want = solvers.best_minimizer(config.model, p, q, opts)
+        assert solvers.class_distance(got.positions, want.positions, q, 1e-8) <= 1e-8
+        assert got.psd == want.psd
+        beta, beta_dense = got.action / q, want.action / q
+        assert abs(beta - beta_dense) <= 1e-12 * max(1.0, abs(beta_dense)), (p, q)
+    assert dense.n > 0  # the dense solves did take the dense fallback
+
+
+def test_benchmark_scan_minimizers_match_dense_fallback(bench, monkeypatch):
+    text = bench.SCAN_CONFIG.format(seed=0, workers=1)
+    # 65/192 is the T = 32 loop of flatness 1/3, its largest period
+    assert_minimizers_match_dense_fallback(text, [(65, 192)], monkeypatch)
+
+
+def test_fourier_scan_minimizers_match_dense_fallback(digest_tool, monkeypatch):
+    text = digest_tool.FOURIER_SCAN.format(seed=0)
+    assert_minimizers_match_dense_fallback(text, [], monkeypatch)
 
 
 @contextlib.contextmanager
