@@ -9,12 +9,12 @@ differs between the problems:
 - newton_periodic_u: q-periodic configurations in displacement coordinates.
   The Hessian is tridiagonal plus a corner entry, solved as a rank-one
   Sherman-Morrison update of LAPACK dgtsv (both right-hand sides on one
-  factorization; skipped for q <= 3).  Its fallback is a Gershgorin-shifted
-  cyclic solve, O(q); only at q <= 3, where the couplings fold onto at most
-  a 3x3 matrix, is it the dense eigenvalue-clipped direction.
+  factorization; skipped for q <= 3).  Its fallback is the Gershgorin-shifted
+  cyclic solve of shifted_newton_direction, O(q), except at q <= 3, where the
+  couplings fold onto at most a 3x3 matrix: the dense eigenvalue-clipped step.
 - newton_segment: interior sites of a segment with clamped ends.  The
-  Hessian is tridiagonal (dgtsv); the fallback is the dense direction.
-  newton_segment_starts runs many starts of one segment problem together.
+  Hessian is tridiagonal (dgtsv), the fallback the same shifted solve on the
+  open chain.  newton_segment_starts runs many starts of one problem together.
 
 Each start is one coroutine, _newton_start: the plain damped Newton loop on
 its own state, which yields whenever it needs the model (a gradient, the
@@ -186,6 +186,20 @@ def modified_newton_direction(H, g):
     floor = max(1e-8 * float(lam_abs.max(initial=0.0)), 1e-12)
     inv = 1.0 / np.maximum(lam_abs, floor)
     return -(U @ (inv * (U.T @ g)))
+
+
+def shifted_newton_direction(diag, off, g, corner=None):
+    """Descent direction s from (H + mu*I) s = -g, O(n); -g if that solve fails.
+
+    H is the tridiagonal (diag, off), cyclic when corner couples 0 and n-1.
+    The Gershgorin shift mu makes H + mu*I strictly diagonally dominant.
+    """
+    a = np.abs(np.append(off, 0.0 if corner is None else corner))  # a[i] couples i, i+1
+    radius = a + a[np.arange(len(a)) - 1]
+    mu = max(0.0, -float((diag - radius).min())) + 1e-3 * max(1.0, float(np.abs(diag).max()))
+    s = (solve_tridiag_sym(diag + mu, off, -g) if corner is None
+         else solve_cyclic_tridiag_sym(diag + mu, off, corner, -g))
+    return -g if s is None or float(np.dot(g, s)) >= 0.0 else s
 
 
 # ---- periodic problem in displacement coordinates ---------------------------
@@ -406,13 +420,7 @@ def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
         if q <= 3:
             # the couplings fold onto at most a 3x3 matrix
             return modified_newton_direction(tridiag_dense(diag, off), g)
-        # a Gershgorin shift makes the cyclic matrix positive definite: O(q)
-        radius = np.abs(off) + np.abs(np.roll(off, 1))
-        mu = max(0.0, -float((diag - radius).min())) + 1e-3 * max(1.0, float(np.abs(diag).max()))
-        s = solve_cyclic_tridiag_sym(diag + mu, off[:-1], float(off[-1]), -g)
-        if s is None or float(np.dot(g, s)) >= 0.0:
-            s = -g
-        return s
+        return shifted_newton_direction(diag, off[:-1], g, float(off[-1]))
 
     # one start, so solve and the model only ever see one state
     return _damped_newton(np.asarray(u0, dtype=float)[None], slice(None), prob.gradient,
@@ -625,7 +633,7 @@ def newton_segment_starts(model, W0, n_fix_left, n_fix_right, opts: SolveOptions
         lambda x: _segment_action_fast(model, x, lo, hi),
         lambda x: segment_hessian_parts(model, x, lo, hi),
         solve_tridiag_stack,
-        lambda diag, off, g: modified_newton_direction(tridiag_dense(diag, off), g),
+        shifted_newton_direction,
         opts,
     )
 

@@ -7,15 +7,18 @@ simple, so the main library can be checked against them.  The last section
 keeps the dense and all-shifts linear-algebra paths that the solver's O(q)
 kernels replaced: dense Cholesky certificates, solve_banded solves, the
 class comparison over every index shift and the canonical shift's tie-break
-on tuples.  The next section keeps the two damped-Newton loops that the
-shared solver driver replaced, line for line (the periodic one also with
-its former dense fallback for every q <= 200), plus that driver as it was
-before it took a stack of states and stopped on a repeated state, the next
-the per-site lift that TranslateLadder used before it was vectorized, then
-the series-form model kernels and the np.roll neighbor differences that
-the lean kernels and indexed neighbors replaced, and last the cache-record
-check that parsed the whole record and re-rendered its payload, before
-records were checked on the bytes read.
+on tuples.  The next section keeps the two damped-Newton loops that
+solvers._damped_newton replaced, line for line, each with the fallback rule
+the solver follows now and with its former dense one (every q <= 200 for
+the periodic loop, every segment for the segment loop), and the periodic
+Gershgorin fallback as newton_periodic_u wrote it inline before
+solvers.shifted_newton_direction served both problems, plus _damped_newton
+as it was before it took a stack of states and stopped on a repeated state,
+the next the per-site lift that TranslateLadder used before it was
+vectorized, then the series-form model kernels and the np.roll neighbor
+differences that the lean kernels and indexed neighbors replaced, and last
+the cache-record check that parsed the whole record and re-rendered its
+payload, before records were checked on the bytes read.
 """
 
 import hashlib
@@ -276,6 +279,23 @@ def canonical_shift_tuples(prob, u):
 # ---- the two Newton loops replaced by the shared damped-Newton driver -------
 
 
+def gershgorin_cyclic_direction(diag, off, g):
+    """The periodic fallback at q >= 4 as newton_periodic_u wrote it inline,
+    with off of length q (its last entry the corner) and the radius from
+    np.roll."""
+    radius = np.abs(off) + np.abs(np.roll(off, 1))
+    mu = max(0.0, -float((diag - radius).min())) + 1e-3 * max(1.0, float(np.abs(diag).max()))
+    s = solvers.solve_cyclic_tridiag_sym(diag + mu, off[:-1], float(off[-1]), -g)
+    if s is None or float(np.dot(g, s)) >= 0.0:
+        s = -g
+    return s
+
+
+def dense_direction(diag, off, g):
+    """The eigenvalue-clipped direction on the dense matrix of (diag, off)."""
+    return solvers.modified_newton_direction(solvers.tridiag_dense(diag, off), g)
+
+
 def _newton_periodic_u_loop(prob, u0, opts, dense_max_q):
     """Damped Newton in displacement coordinates; returns (u, residual_sup, ok).
 
@@ -298,14 +318,10 @@ def _newton_periodic_u_loop(prob, u0, opts, dense_max_q):
             s = solvers.solve_cyclic_tridiag_sym(diag, off[:-1], float(off[-1]), -g)
         if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(u).max()):
             if q <= dense_max_q:
-                s = solvers.modified_newton_direction(solvers.tridiag_dense(diag, off), g)
+                s = dense_direction(diag, off, g)
             else:
                 # Gershgorin shift keeps the fallback O(q) at large periods
-                radius = np.abs(off) + np.abs(np.roll(off, 1))
-                mu = max(0.0, -float((diag - radius).min())) + 1e-3 * max(1.0, float(np.abs(diag).max()))
-                s = solvers.solve_cyclic_tridiag_sym(diag + mu, off[:-1], float(off[-1]), -g)
-                if s is None or float(np.dot(g, s)) >= 0.0:
-                    s = -g
+                s = gershgorin_cyclic_direction(diag, off, g)
         slope = float(np.dot(g, s))
         if slope >= 0.0:
             s = -g
@@ -340,11 +356,12 @@ def newton_periodic_u_loop_dense(prob, u0, opts):
     return _newton_periodic_u_loop(prob, u0, opts, dense_max_q=200)
 
 
-def newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts):
+def _newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts, fallback):
     """Minimize the segment action over interior sites with clamped ends.
 
     w0 holds all site values; the first n_fix_left and last n_fix_right stay
-    fixed.  Returns (w, residual_sup, converged); residual over free sites.
+    fixed.  fallback(diag, off, g) replaces a missing, ascending or exploding
+    step.  Returns (w, residual_sup, converged); residual over free sites.
     """
     w = np.array(w0, dtype=float)
     n = len(w)
@@ -362,7 +379,7 @@ def newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts):
         diag, off = solvers.segment_hessian_parts(model, w, lo, hi)
         s = solvers.solve_tridiag_sym(diag, off, -g)
         if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(w).max()):
-            s = solvers.modified_newton_direction(solvers.tridiag_dense(diag, off), g)
+            s = fallback(diag, off, g)
         slope = float(np.dot(g, s))
         if slope >= 0.0:
             s = -g
@@ -386,6 +403,26 @@ def newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts):
     g = solvers.segment_gradient(model, w, lo, hi)
     res = float(np.abs(g).max())
     return w, res, res < opts.tol
+
+
+def newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts):
+    """The segment loop with the solver's fallback rule: the Gershgorin-shifted
+    solve on the open chain, written out here."""
+    def shifted(diag, off, g):
+        a = np.abs(off)
+        radius = np.zeros(len(diag))
+        radius[:-1] += a
+        radius[1:] += a
+        mu = max(0.0, -float((diag - radius).min())) + 1e-3 * max(1.0, float(np.abs(diag).max()))
+        s = solvers.solve_tridiag_sym(diag + mu, off, -g)
+        return -g if s is None or float(np.dot(g, s)) >= 0.0 else s
+
+    return _newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts, shifted)
+
+
+def newton_segment_loop_dense(model, w0, n_fix_left, n_fix_right, opts):
+    """The segment loop as it was while its fallback was the dense direction."""
+    return _newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts, dense_direction)
 
 
 def damped_newton_loop(x, free, gradient, action, hessian_parts, solve, fallback, opts):

@@ -3,11 +3,16 @@
 Both adapters must reproduce the oracle loops bit for bit: the same state,
 the same residual and the same convergence flag, converged or not.  The
 periodic cases cover the q <= 3 skip of the structured solve with its dense
-eigenvalue-clipped fallback, and the Gershgorin-shifted fallback of every
-q >= 4; the segment cases replay the clamped solves that pn_barrier,
-verify_minimality and heteroclinic_segment actually make.  A start that
-leaves on a repeated state, and each row of a newton_segment_starts batch,
-must give what the loops give after max_iter.
+eigenvalue-clipped fallback, and the Gershgorin-shifted cyclic fallback of
+every q >= 4; the segment cases replay the clamped solves that pn_barrier,
+verify_minimality and heteroclinic_segment actually make, whose fallback is
+the Gershgorin-shifted solve on the open chain.  A start that leaves on a
+repeated state, and each row of a newton_segment_starts batch, must give
+what the loops give after max_iter.  shifted_newton_direction, the fallback
+both problems share, is checked on its edge cases and, in its cyclic form,
+bit for bit against the inline code it replaced.  The loops and pinned
+sweeps that the segment solves build must agree with the former dense
+segment fallback (newton_segment_loop_dense) in loop action and barrier.
 """
 
 import contextlib
@@ -17,16 +22,18 @@ import functools
 import numpy as np
 import pytest
 
-from staircase_lab import flatness, hyperbolicity, scan, solvers, variational
+from staircase_lab import flatness, hyperbolicity, parse_model, scan, solvers, variational
 from staircase_lab.errors import NoConvergence
 from staircase_lab.model import GeneratingModel, frenkel_kontorova
 from staircase_lab.solvers import PeriodicProblem, SolveOptions, build_seeds
 
 from oracles import (
     damped_newton_loop,
+    gershgorin_cyclic_direction,
     newton_periodic_u_loop,
     newton_periodic_u_loop_dense,
     newton_segment_loop,
+    newton_segment_loop_dense,
 )
 
 MODELS = {
@@ -48,14 +55,17 @@ def assert_same(got, want):
 
 
 class Calls:
-    """Counts the calls of owner.<name> while still running the original."""
+    """Counts the calls of owner.<name>, keeping their arguments, while still
+    running the original."""
 
     def __init__(self, monkeypatch, owner, name):
         self.n = 0
+        self.args = []
         original = getattr(owner, name)
 
         def counted(*args):
             self.n += 1
+            self.args.append(args)
             return original(*args)
 
         monkeypatch.setattr(owner, name, counted)
@@ -338,7 +348,8 @@ def traced_loop(model, w0, left, right, opts):
 
 def test_segment_cycle_exit_matches_loop_on_gap_solves():
     periods = set()
-    for name, p, q in [("fk", 0, 1), ("fk", 2, 5), ("fourier", 0, 1)]:
+    # the two-cycles come from FK 1/2, the fixed points from 1/3 and 2/5
+    for name, p, q in [("fk", 0, 1), ("fk", 1, 2), ("fk", 2, 5), ("fourier", 0, 1)]:
         model = MODELS[name]
         for W0, left, right, opts in gap_solves(name, p, q):
             for w0 in W0:
@@ -372,15 +383,20 @@ def test_batch_rows_match_single_starts_on_gap_solves(name, p, q):
         replay_batch(MODELS[name], W0, left, right, opts)
 
 
-def test_batch_row_taking_the_dense_fallback(monkeypatch):
+def test_batch_row_taking_the_shifted_fallback(monkeypatch):
     # V'' < 0 near x = 1/2 makes the middle row's Hessian negative definite:
-    # its structured step ascends and the dense direction replaces it; the
+    # its structured step ascends and the shifted direction replaces it; the
     # other rows sit near the potential minimum
     W0 = np.array([[0.0, 0.02, 0.05, 0.08, 0.1], [0.0, 0.49, 0.5, 0.51, 1.0],
                    [0.0, 0.03, 0.06, 0.09, 0.12]])
+    shifted = Calls(monkeypatch, solvers, "shifted_newton_direction")
     dense = Calls(monkeypatch, solvers, "modified_newton_direction")
     solvers.newton_segment_starts(MODELS["fk"], W0, 1, 1, SolveOptions(max_iter=1))
-    assert dense.n == 1
+    assert shifted.n == 1 and dense.n == 0
+    diag, off, g = shifted.args[0]
+    want = solvers.segment_hessian_parts(MODELS["fk"], W0[1], 1, 4)
+    assert diag.tobytes() == want[0].tobytes() and off.tobytes() == want[1].tobytes()
+    assert g.tobytes() == solvers.segment_gradient(MODELS["fk"], W0[1], 1, 4).tobytes()
     replay_batch(MODELS["fk"], W0, 1, 1, SolveOptions())
 
 
@@ -403,8 +419,11 @@ def test_batch_row_whose_block_breaks_the_stacked_solve(bad, monkeypatch):
     for j in (0, 2):
         assert steps[j].tobytes() == solvers.solve_tridiag_sym(diag[j], off[j], -g[j]).tobytes()
     alone = Calls(monkeypatch, solvers, "solve_tridiag_sym")
+    shifted = Calls(monkeypatch, solvers, "shifted_newton_direction")
     solvers.newton_segment_starts(FLAT, W0, 1, 1, SolveOptions(max_iter=1))
-    assert alone.n == 3  # every row re-solved alone
+    # every row re-solved alone, then one shifted solve per fallback taken
+    assert [args[0].tobytes() for args in alone.args[:3]] == [d.tobytes() for d in diag]
+    assert shifted.n > 0 and alone.n == 3 + shifted.n
     replay_batch(FLAT, W0, 1, 1, SolveOptions())
 
 
@@ -444,3 +463,122 @@ def test_stacked_tridiagonal_solve_matches_each_block_alone():
                 assert got[j] is None and want is None
             else:
                 assert got[j].tobytes() == want.tobytes()
+
+
+# ---- the shifted fallback of both problems ----------------------------------
+
+
+def assert_shifted_solve(diag, off, g, corner=None):
+    """s solves (H + mu*I) s = -g with the Gershgorin mu and descends."""
+    n = len(diag)
+    s = solvers.shifted_newton_direction(diag, off, g, corner)
+    H = solvers.tridiag_dense(diag, off if corner is None else np.append(off, corner))
+    radius = np.abs(H).sum(axis=1) - np.abs(np.diag(H))
+    mu = max(0.0, -float((diag - radius).min())) + 1e-3 * max(1.0, float(np.abs(diag).max()))
+    assert np.all(np.isfinite(s)) and float(np.dot(g, s)) < 0.0
+    np.testing.assert_allclose((H + mu * np.eye(n)) @ s, -g, rtol=0.0,
+                               atol=1e-12 * float(np.abs(g).max()))
+    return s
+
+
+@pytest.mark.parametrize("diag,off", [([-3.0], []), ([2.5], []), ([-3.0, 1.0], [0.7]),
+                                      ([0.5, -0.25], [-2.0])])
+def test_shifted_direction_on_one_and_two_free_sites(diag, off):
+    assert_shifted_solve(np.array(diag), np.array(off), np.array([0.3, -1.1][: len(diag)]))
+
+
+def test_shifted_direction_on_segments_of_one_and_two_free_sites(monkeypatch):
+    # an indefinite start at x = 1/2 takes the fallback on both sizes
+    model = MODELS["fk"]
+    shifted = Calls(monkeypatch, solvers, "shifted_newton_direction")
+    for w0 in ([0.0, 0.49, 1.0], [0.0, 0.48, 0.52, 1.0]):
+        w0 = np.array(w0)
+        got = solvers.newton_segment(model, w0, 1, 1, SolveOptions())
+        assert_same(got, newton_segment_loop(model, w0, 1, 1, SolveOptions()))
+        assert got[2]
+    assert {len(args[0]) for args in shifted.args} == {1, 2}
+
+
+def test_shifted_direction_on_an_indefinite_chain():
+    rng = np.random.default_rng(11)
+    for n in (3, 8, 40):
+        diag = rng.uniform(-4.0, 2.0, n)
+        off = rng.uniform(-1.5, 1.5, n)  # the last entry is the cyclic corner
+        g = rng.standard_normal(n)
+        assert np.linalg.eigvalsh(solvers.tridiag_dense(diag, off[:-1])).min() < 0.0
+        assert np.linalg.eigvalsh(solvers.tridiag_dense(diag, off)).min() < 0.0
+        assert_shifted_solve(diag, off[:-1], g)
+        assert_shifted_solve(diag, off[:-1], g, float(off[-1]))
+
+
+def test_shifted_direction_is_minus_g_when_the_shifted_solve_fails():
+    # H = 0 gives mu = 1e-3, and -g / mu overflows: the solve is rejected
+    g = np.array([1e308, -1e308])
+    s = solvers.shifted_newton_direction(np.zeros(2), np.zeros(1), g)
+    assert s.tobytes() == (-g).tobytes()
+    s = solvers.shifted_newton_direction(np.zeros(4), np.zeros(3), np.full(4, 1e308), 0.0)
+    assert s.tobytes() == np.full(4, -1e308).tobytes()
+
+
+@pytest.mark.parametrize("q", [4, 13, 201])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_cyclic_shifted_direction_matches_the_inline_periodic_fallback(name, q):
+    # Hessian parts of the periodic problem at its seeds, then random
+    # indefinite ones: the radius from index sums equals np.roll's bit for bit
+    model, p = MODELS[name], P_OF[q]
+    prob = PeriodicProblem(model, p, q)
+    rng = np.random.default_rng(q)
+    parts = [prob.hessian_parts(prob.from_lift(seed))
+             for _, seed in build_seeds(model, p, q, SolveOptions())]
+    parts += [(rng.uniform(-4.0, 2.0, q), rng.uniform(-1.5, 1.5, q)) for _ in range(4)]
+    for diag, off in parts:
+        g = rng.standard_normal(q)
+        got = solvers.shifted_newton_direction(diag, off[:-1], g, float(off[-1]))
+        assert got.tobytes() == gershgorin_cyclic_direction(diag, off, g).tobytes()
+
+
+@pytest.fixture
+def dense_segments(monkeypatch):
+    """A context in which every clamped segment runs the dense-fallback loop."""
+    def loops(model, W0, n_fix_left, n_fix_right, opts):
+        return [newton_segment_loop_dense(model, w0, n_fix_left, n_fix_right, opts)
+                for w0 in np.asarray(W0, dtype=float)]
+
+    @contextlib.contextmanager
+    def context():
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "newton_segment_starts", loops)
+            yield
+
+    return context
+
+
+@pytest.mark.parametrize("name,p,q", [("fk", 0, 1), ("fk", 1, 2), ("fk", 1, 3), ("fk", 2, 5),
+                                      ("fourier-potential", 1, 2)])
+def test_loops_match_the_dense_segment_fallback(name, p, q, digest_tool, dense_segments):
+    model = MODELS["fk"] if name == "fk" else parse_model(digest_tool.FOURIER_MODEL)
+    opts = SolveOptions(seed=3)
+    config = variational.minimize_periodic(model, p, q, opts)
+    for T in flatness.loop_t_grid(q):
+        got = flatness.concatenate_loop(model, p, q, T, opts, config=config)
+        with dense_segments():
+            want = flatness.concatenate_loop(model, p, q, T, opts, config=config)
+        assert abs(got.action_per_site - want.action_per_site) <= \
+            1e-14 * abs(want.action_per_site), (T, got.action_per_site, want.action_per_site)
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (1, 3)])
+def test_pn_barrier_matches_the_dense_segment_fallback(p, q, dense_segments):
+    got = hyperbolicity.pn_barrier(MODELS["fk"], p, q)
+    with dense_segments():
+        want = hyperbolicity.pn_barrier(MODELS["fk"], p, q)
+    assert got == want
+
+
+@pytest.mark.parametrize("p,q", [(2, 5), (3, 8)])
+def test_pn_barrier_sweeps_that_do_not_close_stay_typed(p, q):
+    try:
+        barrier = hyperbolicity.pn_barrier(MODELS["fk"], p, q)
+    except NoConvergence:
+        return
+    assert np.isfinite(barrier)

@@ -23,6 +23,10 @@ prints one "<sha256>  <label>" line for:
   and FOURIER_MODEL 1/2, at every T of the default grid: the positions
   bytes, `action_per_site` and `deformation_cost`.  The command outputs
   carry only the loop action per site, not the segments behind it.
+- the other public callers of `solvers.newton_segment`, on the benchmark's
+  model: `heteroclinic_segment` of 1/3 across gaps 1-3 at T = 4 (positions
+  bytes, action, multiplicity) and `verify_minimality` on the 2/5 ground
+  state (ok, witness, worst_improvement).
 - `beta` with `--cache-dir` at each query rational of the benchmark (the
   Farey set of order QUERY_ORDER): run cold into a fresh cache directory,
   then warm twice, plus that cache tree.  Then the record of CORRUPT_AT gets
@@ -152,6 +156,25 @@ def loop_digests(model, p: int, q: int, tag: str, seed: int):
         yield sha(repr(loop.deformation_cost)), f"{label} deformation_cost"
 
 
+def segment_digests(model, seed: int):
+    """heteroclinic_segment of 1/3 at T = 4 per gap, then verify_minimality of 2/5."""
+    from staircase_lab import flatness, solvers, variational
+
+    options = solvers.SolveOptions(seed=seed)
+    for gap in (1, 2, 3):
+        segment = flatness.heteroclinic_segment(model, 1, 3, gap, 4, options)
+        label = f"segment 1/3 gap={gap} T=4 seed={seed}"
+        yield sha(segment.positions.tobytes()), f"{label} positions"
+        yield sha(repr(segment.action)), f"{label} action"
+        yield sha(repr(segment.multiplicity)), f"{label} multiplicity"
+    config = variational.minimize_periodic(model, 2, 5, options)
+    report = variational.verify_minimality(model, config, options=options)
+    label = f"verify_minimality 2/5 seed={seed}"
+    yield sha(repr(report.ok)), f"{label} ok"
+    yield sha(repr(report.witness)), f"{label} witness"
+    yield sha(repr(report.worst_improvement)), f"{label} worst_improvement"
+
+
 def warm_digests(bench, cli, model: Path, seed: int, work: Path):
     """Cold, then twice warm, beta queries per rational; then one corrupted record."""
     def query(p, q, cache):
@@ -197,6 +220,7 @@ def digests(bench, seed: int, work: Path):
                              work)
     for p, q in LOOP_RATIONALS:
         yield from loop_digests(parse_model(bench.MODEL_TEXT), p, q, "", seed)
+    yield from segment_digests(parse_model(bench.MODEL_TEXT), seed)
     yield from warm_digests(bench, cli, model, seed, work)
 
     tag = "fourier "
