@@ -1,12 +1,16 @@
 """Heteroclinic segments, concatenated loops, and the flatness curve u(delta).
 
 In the hyperbolic regime the q translates of a periodic minimizer bound q
-gaps; each gap carries an action-minimizing heteroclinic segment.  Chaining
-truncated segments with linearly deformed ends yields a loop whose rotation
-number is exactly p/q + 1/(2Tq) and whose per-site action upper-bounds beta
-there.  The flatness curve samples u(delta) = beta(p/q + delta) - beta(p/q)
-- c_plus*delta on the integer-T grid delta = 1/(2Tq), fits an exponential
-decay rate, and cross-checks a held-out bound of the form
+gaps; each gap carries an action-minimizing heteroclinic segment.  The q
+gaps are images of one another under the orbit's shift-and-translate
+symmetry w(i) -> w(i + s) + n (Aubry & Le Daeron 1983), so one segment,
+solved across gap 1 on a window wider than any loop piece, serves every
+gap of every loop.  Chaining its truncated images with linearly deformed
+ends yields a loop whose rotation number is exactly p/q + 1/(2Tq) and whose
+per-site action upper-bounds beta there.  The flatness curve samples
+u(delta) = beta(p/q + delta) - beta(p/q) - c_plus*delta on the integer-T
+grid delta = 1/(2Tq), building all its loops from one gap-1 solve, fits an
+exponential decay rate, and cross-checks a held-out bound of the form
 C*q*delta*exp(-lambda/(4*q*delta)).
 """
 
@@ -67,6 +71,13 @@ class TranslateLadder:
     def value(self, rung: int, i: int) -> float:
         return float(self.values(rung, [i])[0])
 
+    def gap_image(self, gap: int) -> tuple[int, int]:
+        """(s, n) such that w(i) -> w(i + s) + n carries rungs 0 and 1 onto
+        rungs gap-1 and gap; (s + a*q, n - a*p) does too, for every integer a."""
+        j0, m0 = self._entries[0]
+        j, m = self._entries[gap - 1]
+        return j - j0, m - m0
+
 
 @dataclass
 class HeteroclinicSegment:
@@ -98,8 +109,8 @@ def _crossing(w, lower, upper, sites) -> float:
     return float(sites[int(np.argmax(np.minimum(w - lower, upper - w)))])
 
 
-def _solve_gap_segment(model, ladder: TranslateLadder, gap: int, sites,
-                       options=None):
+def _solve_gap_segment(model, ladder: TranslateLadder, gap: int, T: int, sites,
+                       options=None) -> HeteroclinicSegment:
     """Minimal segment between ladder rungs gap-1 and gap over given sites.
 
     Two outermost sites per side are clamped onto the asymptotic lifts.
@@ -110,8 +121,9 @@ def _solve_gap_segment(model, ladder: TranslateLadder, gap: int, sites,
     ordering test allows contact up to 1e-9.  Translates of the connection
     deep inside the window are action-degenerate below float resolution;
     the one crossing nearest the window center is returned so the choice
-    is stable under window growth.  Returns (positions, residual, action,
-    multiplicity of the near-minimal set).
+    is stable under window growth.  Returns it as a HeteroclinicSegment on
+    the given sites, recording T as given, with the size of the near-minimal
+    set as its multiplicity.
     """
     opts = options or solvers.SolveOptions()
     lower = ladder.values(gap - 1, sites)
@@ -161,7 +173,11 @@ def _solve_gap_segment(model, ladder: TranslateLadder, gap: int, sites,
         key=lambda c: (abs(_crossing(c[1], lower, upper, rel) - center),
                        _crossing(c[1], lower, upper, rel)),
     )
-    return w, res, act, len(distinct)
+    return HeteroclinicSegment(
+        p=ladder.p, q=ladder.q, gap=gap, T=T, positions=w, lower=lower, upper=upper,
+        tail_deviations=np.minimum(w - lower, upper - w), residual_sup=res,
+        action=act, multiplicity=len(distinct), sites=np.asarray(sites),
+    )
 
 
 def heteroclinic_segment(model, p: int, q: int, gap: int, T: int,
@@ -173,16 +189,7 @@ def heteroclinic_segment(model, p: int, q: int, gap: int, T: int,
         raise ValueError("window T*q must be >= 2 to leave a free site")
     ladder = TranslateLadder(model, p, q, options)
     W = T * q
-    sites = np.arange(-W, W + 1)
-    w, res, act, mult = _solve_gap_segment(model, ladder, gap, sites, options)
-    lower = ladder.values(gap - 1, sites)
-    upper = ladder.values(gap, sites)
-    dev = np.minimum(w - lower, upper - w)
-    return HeteroclinicSegment(
-        p=p, q=q, gap=gap, T=T, positions=w, lower=lower, upper=upper,
-        tail_deviations=dev, residual_sup=res, action=act,
-        multiplicity=mult, sites=sites,
-    )
+    return _solve_gap_segment(model, ladder, gap, T, np.arange(-W, W + 1), options)
 
 
 def loop_t_grid(q: int, T_list=None) -> list[int]:
@@ -203,6 +210,8 @@ def loop_rational(p: int, q: int, T: int) -> Fraction:
 
 @dataclass
 class LoopResult:
+    """A T-loop, with the translate ladder and the one gap-1 segment whose
+    images are its q pieces."""
     p: int
     q: int
     T: int
@@ -211,17 +220,25 @@ class LoopResult:
     rotation: Fraction
     action_per_site: float
     deformation_cost: float
+    ladder: TranslateLadder
+    segment: HeteroclinicSegment
 
 
 def concatenate_loop(model, p: int, q: int, T: int, options=None,
                      config=None) -> LoopResult:
     """Loop of 2Tq sites crossing all q gaps once: rotation p/q + 1/(2Tq).
 
-    Segment k is solved on a window wider than [t_k - T, t_k + T] around its
-    center t_k = 2(k-1)T, then truncated and linearly deformed onto the
-    periodic lifts over tau = min(q, T) sites at each end, so consecutive
-    segments agree at the shared junction sites exactly.  config, the
-    minimizer of p/q, spares the ladder its solve when the caller has it.
+    One segment is solved, across gap 1 on sites [-R, R] with
+    R = T + max(2q, 4) + q.  Gap k's piece covers sites [t_k - T, t_k + T]
+    around t_k = 2(k-1)T and is its image w_k(i) = w_1(i + s) + n, where
+    (s, n) = ladder.gap_image(k) shifted by (a*q, -a*p).  Of the a whose
+    piece lies inside the solved window, those whose deformed piece has the
+    least action (up to a 1e-10 relative tie) are kept, and of those the one
+    crossing nearest t_k, then the smaller crossing, is used.  Each piece is
+    deformed linearly onto the periodic lifts over tau = min(q, T) sites at
+    each end, so consecutive pieces agree at the shared junction sites
+    exactly.  config, the minimizer of p/q, spares the ladder its solve when
+    the caller has it.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -229,34 +246,45 @@ def concatenate_loop(model, p: int, q: int, T: int, options=None,
     if N > MAX_LOOP_SITES:
         raise ValueError(f"loop of {N} sites exceeds cap {MAX_LOOP_SITES}")
     ladder = TranslateLadder(model, p, q, options, config)
-    margin = max(2 * q, 4)
+    R = T + max(2 * q, 4) + q
+    segment = _solve_gap_segment(model, ladder, 1, T, np.arange(-R, R + 1), options)
+    return _mapped_loop(model, ladder, segment, T)
+
+
+def _mapped_loop(model, ladder: TranslateLadder, segment: HeteroclinicSegment,
+                 T: int) -> LoopResult:
+    """The T-loop mapped from a gap-1 segment as concatenate_loop describes;
+    any segment solved for a T' >= T holds a piece of every gap."""
+    p, q = ladder.p, ladder.q
     tau = min(q, T)
+    ramp = np.maximum(0.0, (tau - np.arange(2 * T + 1)) / tau)
+    lo, hi = int(segment.sites[0]), int(segment.sites[-1])
     loop_sites = np.arange(-T, (2 * q - 1) * T + 1)
     z = np.empty(len(loop_sites), dtype=float)
     raw_action = []
     for k in range(1, q + 1):
         t_k = 2 * (k - 1) * T
-        solve_sites = np.arange(t_k - T - margin, t_k + T + margin + 1)
-        w, _, _, _ = _solve_gap_segment(model, ladder, k, solve_sites, options)
-        i0 = margin  # index of loop-window start inside the solve window
-        seg = w[i0:i0 + 2 * T + 1].copy()
-        e_left = seg[0] - ladder.value(k - 1, t_k - T)
-        e_right = seg[-1] - ladder.value(k, t_k + T)
-        s = np.arange(2 * T + 1)
-        seg -= e_left * np.maximum(0.0, (tau - s) / tau)
-        seg -= e_right * np.maximum(0.0, (tau - s[::-1]) / tau)
-        raw_action.extend(
-            np.asarray(model.eval_h(w[i0:i0 + 2 * T], w[i0 + 1:i0 + 2 * T + 1]),
-                       dtype=float).tolist()
-        )
-        a = (t_k - T) - loop_sites[0]
-        z[a:a + 2 * T + 1] = seg
+        left = ladder.value(k - 1, t_k - T)
+        right = ladder.value(k, t_k + T)
+        s0, n0 = ladder.gap_image(k)
+        first = lo - (t_k - T)  # the least s whose piece starts inside the window
+        s = np.arange(first + (s0 - first) % q, hi - (t_k + T) + 1, q)
+        raw = (segment.positions[(s - first)[:, None] + np.arange(2 * T + 1)]
+               + (n0 - (s - s0) // q * p)[:, None])
+        pieces = raw - (raw[:, :1] - left) * ramp - (raw[:, -1:] - right) * ramp[::-1]
+        act = np.sum(model.eval_h(pieces[:, :-1], pieces[:, 1:]), axis=1)
+        near = np.flatnonzero(act - act.min() <= 1e-10 * max(1.0, abs(act.min())))
+        crossing = segment.center - s[near]
+        best = near[np.lexsort((crossing, np.abs(crossing - t_k)))[0]]
+        raw_action.extend(np.asarray(model.eval_h(raw[best, :-1], raw[best, 1:]),
+                                     dtype=float).tolist())
+        z[t_k:t_k + 2 * T + 1] = pieces[best]
     total = math.fsum(np.asarray(model.eval_h(z[:-1], z[1:]), dtype=float).tolist())
     return LoopResult(
         p=p, q=q, T=T, positions=z, sites=loop_sites,
         rotation=loop_rational(p, q, T),
-        action_per_site=total / N,
-        deformation_cost=total - math.fsum(raw_action),
+        action_per_site=total / (2 * T * q),
+        deformation_cost=total - math.fsum(raw_action), ladder=ladder, segment=segment,
     )
 
 
@@ -326,7 +354,8 @@ def flatness_curve(model, p: int, q: int, T_list=None, table: BetaTable | None =
     in the curve but excluded from the fit.  zeta_upper_bounds holds the raw
     per-site loop actions, each an upper bound for beta at its rotation
     number; entries are nan where the family is degenerate or the loop would
-    exceed the site cap.
+    exceed the site cap.  All loops are images of the one gap-1 segment that
+    concatenate_loop solves for the largest T within the cap.
     """
     p, q = normalize_rational(p, q)
     T_list = loop_t_grid(q, T_list)
@@ -338,6 +367,9 @@ def flatness_curve(model, p: int, q: int, T_list=None, table: BetaTable | None =
     report = hyperbolicity.full_report(model, cfg, with_barrier=False)
     hyperbolic = report.phonon_gap is not None and report.phonon_gap >= PHONON_GAP_FLOOR
     noise_floor = 1e-13 * max(1.0, abs(beta0))
+    fits = [T for T in T_list if 2 * T * q <= MAX_LOOP_SITES] if hyperbolic else []
+    if fits:
+        top = concatenate_loop(model, p, q, fits[-1], options, config=cfg)
 
     deltas, u_values, zeta_upper, included = [], [], [], []
     for T in T_list:
@@ -349,9 +381,8 @@ def flatness_curve(model, p: int, q: int, T_list=None, table: BetaTable | None =
                 f"u({delta:.3e}) = {u:.3e} at {p}/{q}: c_plus or beta inconsistent"
             )
         zu = math.nan
-        if hyperbolic and 2 * T * q <= MAX_LOOP_SITES:
-            loop = concatenate_loop(model, p, q, T, options, config=cfg)
-            zu = loop.action_per_site
+        if T in fits:
+            zu = _mapped_loop(model, top.ladder, top.segment, T).action_per_site
         deltas.append(delta)
         u_values.append(u)
         zeta_upper.append(zu)

@@ -16,19 +16,22 @@ solvers.shifted_newton_direction served both problems, plus _damped_newton
 as it was before it took a stack of states and stopped on a repeated state,
 the next the per-site lift that TranslateLadder used before it was
 vectorized, then the series-form model kernels and the np.roll neighbor
-differences that the lean kernels and indexed neighbors replaced, and last
+differences that the lean kernels and indexed neighbors replaced, then
 the cache-record check that parsed the whole record and re-rendered its
-payload, before records were checked on the bytes read.
+payload, before records were checked on the bytes read, and last the loop
+builder that solved every gap of every loop on its own, before the loops
+became images of one gap-1 segment.
 """
 
 import hashlib
 import json
+import math
 
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 
-from staircase_lab import solvers
+from staircase_lab import flatness, solvers
 from staircase_lab.cache import render_json
 
 
@@ -567,3 +570,47 @@ def rerender_check(text):
         return None
     actual = hashlib.sha256(render_json(payload).encode("utf-8")).hexdigest()
     return payload if actual == stored else None
+
+
+# ---- loops with one gap solve per gap ---------------------------------------
+
+
+def concatenate_loop_per_gap(model, p, q, T, options=None, config=None):
+    """flatness.concatenate_loop as it was before it mapped one segment.
+
+    Segment k is solved on its own window [t_k - T - margin, t_k + T + margin]
+    around t_k = 2(k-1)T, then truncated and linearly deformed onto the
+    periodic lifts over tau = min(q, T) sites at each end.  The result
+    carries the ladder but no segment.
+    """
+    N = 2 * T * q
+    ladder = flatness.TranslateLadder(model, p, q, options, config)
+    margin = max(2 * q, 4)
+    tau = min(q, T)
+    loop_sites = np.arange(-T, (2 * q - 1) * T + 1)
+    z = np.empty(len(loop_sites), dtype=float)
+    raw_action = []
+    for k in range(1, q + 1):
+        t_k = 2 * (k - 1) * T
+        solve_sites = np.arange(t_k - T - margin, t_k + T + margin + 1)
+        w = flatness._solve_gap_segment(model, ladder, k, T, solve_sites, options).positions
+        i0 = margin  # index of loop-window start inside the solve window
+        seg = w[i0:i0 + 2 * T + 1].copy()
+        e_left = seg[0] - ladder.value(k - 1, t_k - T)
+        e_right = seg[-1] - ladder.value(k, t_k + T)
+        s = np.arange(2 * T + 1)
+        seg -= e_left * np.maximum(0.0, (tau - s) / tau)
+        seg -= e_right * np.maximum(0.0, (tau - s[::-1]) / tau)
+        raw_action.extend(
+            np.asarray(model.eval_h(w[i0:i0 + 2 * T], w[i0 + 1:i0 + 2 * T + 1]),
+                       dtype=float).tolist()
+        )
+        a = (t_k - T) - loop_sites[0]
+        z[a:a + 2 * T + 1] = seg
+    total = math.fsum(np.asarray(model.eval_h(z[:-1], z[1:]), dtype=float).tolist())
+    return flatness.LoopResult(
+        p=p, q=q, T=T, positions=z, sites=loop_sites,
+        rotation=flatness.loop_rational(p, q, T),
+        action_per_site=total / N,
+        deformation_cost=total - math.fsum(raw_action), ladder=ladder, segment=None,
+    )

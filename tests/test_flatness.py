@@ -6,13 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from staircase_lab import flatness, staircase, variational
+from staircase_lab import flatness, parse_model, staircase, variational
 from staircase_lab.errors import DegenerateFamily, NegativeU
 from staircase_lab.model import GeneratingModel, frenkel_kontorova
 from staircase_lab.solvers import SolveOptions
 from staircase_lab.staircase import BetaTable, legendre
 
-from oracles import ladder_value_per_site
+from oracles import concatenate_loop_per_gap, ladder_value_per_site
 
 
 @pytest.fixture(scope="module")
@@ -194,15 +194,74 @@ def test_loop_rotation_is_exact(k2):
         assert advance == float(2 * T * p + 1)
 
 
-def test_loop_junctions_sit_on_asymptotes(k2):
-    loop = flatness.concatenate_loop(k2, 1, 2, 2)
-    ladder = flatness.TranslateLadder(k2, 1, 2)
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 5)])
+def test_loop_junctions_sit_on_asymptotes(k2, p, q):
+    loop = flatness.concatenate_loop(k2, p, q, 2)
+    ladder = flatness.TranslateLadder(k2, p, q)
     T = 2
-    for k in (1, 2):
+    for k in range(1, q + 1):
         t_left = 2 * (k - 1) * T - T
         idx = t_left - loop.sites[0]
         assert abs(loop.positions[idx] - ladder.value(k - 1, t_left)) < 1e-12
-    assert abs(loop.positions[-1] - ladder.value(2, loop.sites[-1])) < 1e-12
+    assert abs(loop.positions[-1] - ladder.value(q, loop.sites[-1])) < 1e-12
+
+
+@pytest.mark.parametrize("name", list(LADDER_MODELS))
+def test_gap_images_sit_on_their_rungs(name):
+    # every image w(i + s + a*q) + n - a*p of the gap-1 segment joins rungs
+    # k-1 and k where the segment itself sits on rungs 0 and 1
+    p, q = 2, 5
+    loop = flatness.concatenate_loop(LADDER_MODELS[name], p, q, 4)
+    seg, ladder = loop.segment, loop.ladder
+    tail = seg.tail_deviations <= 1e-13
+    left = tail & (seg.sites < seg.center)
+    right = tail & (seg.sites > seg.center)
+    assert left[:2].all() and right[-2:].all()
+    for k in range(1, q + 1):
+        s0, n0 = ladder.gap_image(k)
+        for a in (-1, 0, 1):
+            sites = seg.sites - (s0 + a * q)
+            image = seg.positions + (n0 - a * p)
+            lower = ladder.values(k - 1, sites[left])
+            upper = ladder.values(k, sites[right])
+            assert np.max(np.abs(image[left] - lower)) < 1e-12, (k, a)
+            assert np.max(np.abs(image[right] - upper)) < 1e-12, (k, a)
+
+
+def test_loop_positions_do_not_follow_the_seed(bench, digest_tool):
+    fk = parse_model(bench.MODEL_TEXT)
+    cases = [(fk, p, q) for p, q in digest_tool.LOOP_RATIONALS]
+    cases.append((parse_model(digest_tool.FOURIER_MODEL), 1, 2))
+    for model, p, q in cases:
+        for T in flatness.loop_t_grid(q):
+            a, b = (flatness.concatenate_loop(model, p, q, T, SolveOptions(seed=seed))
+                    for seed in (0, 3))
+            assert np.max(np.abs(a.positions - b.positions)) < 1e-12, (p, q, T)
+
+
+def per_gap_oracle_cases():
+    fk = [("fk", p, q) for p, q in [(0, 1), (1, 2), (1, 3), (2, 5)]]
+    fourier = [("fourier", p, q) for p, q in [(0, 1), (1, 2), (1, 3)]]
+    return [(*case, seed) for case in fk + fourier for seed in (0, 3)]
+
+
+@pytest.mark.parametrize("name,p,q,seed", per_gap_oracle_cases())
+def test_loops_match_the_per_gap_oracle(name, p, q, seed, k2, digest_tool):
+    # FK loops agree to rounding; on the fourier model the mapped pieces may
+    # sit on a wider window (a slightly weaker bound at T = 2) or pick a
+    # cheaper translate (a better bound), within 1e-8
+    model = k2 if name == "fk" else parse_model(digest_tool.FOURIER_MODEL)
+    opts = SolveOptions(seed=seed)
+    config = variational.minimize_periodic(model, p, q, opts)
+    curve = flatness.flatness_curve(model, p, q, options=opts)
+    for T, zu in zip(curve.T_values, curve.zeta_upper_bounds):
+        want = concatenate_loop_per_gap(model, p, q, T, opts, config=config).action_per_site
+        got = flatness.concatenate_loop(model, p, q, T, opts, config=config).action_per_site
+        for value in (got, zu):
+            if name == "fk":
+                assert abs(value - want) <= 1e-14 * abs(want), (T, value, want)
+            else:
+                assert value <= want + 1e-8 * max(1.0, abs(want)), (T, value, want)
 
 
 def test_loop_per_site_action_bounds_beta(k2, k2_table):

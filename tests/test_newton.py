@@ -8,9 +8,11 @@ every q >= 4; the segment cases replay the clamped solves that pn_barrier,
 verify_minimality and heteroclinic_segment actually make, whose fallback is
 the Gershgorin-shifted solve on the open chain.  A start that leaves on a
 repeated state, and each row of a newton_segment_starts batch, must give
-what the loops give after max_iter.  shifted_newton_direction, the fallback
-both problems share, is checked on its edge cases and, in its cyclic form,
-bit for bit against the inline code it replaced.  The loops and pinned
+what the loops give after max_iter, on the per-gap solves of the oracle
+loop builder and on the one gap-1 batch of flatness_curve.
+shifted_newton_direction, the fallback both problems share, is checked on
+its edge cases and, in its cyclic form, bit for bit against the inline
+code it replaced.  The loops and pinned
 sweeps that the segment solves build must agree with the former dense
 segment fallback (newton_segment_loop_dense) in loop action and barrier.
 """
@@ -28,6 +30,7 @@ from staircase_lab.model import GeneratingModel, frenkel_kontorova
 from staircase_lab.solvers import PeriodicProblem, SolveOptions, build_seeds
 
 from oracles import (
+    concatenate_loop_per_gap,
     damped_newton_loop,
     gershgorin_cyclic_direction,
     newton_periodic_u_loop,
@@ -316,10 +319,26 @@ def test_driver_leaves_a_repeated_state_with_the_loops_answer(kind, max_iter):
 
 @functools.lru_cache(maxsize=None)
 def gap_solves(name, p, q, seed=3):
-    """Every newton_segment_starts call of flatness_curve(p/q) on MODELS[name]."""
+    """Every newton_segment_starts call of the per-gap oracle loops of p/q on
+    MODELS[name] at each default-grid T: the gap solves flatness_curve made
+    before its loops became images of one segment, period-1 and period-2
+    cycles among them."""
+    model, opts = MODELS[name], SolveOptions(seed=seed)
+    config = variational.minimize_periodic(model, p, q, opts)
+    with recording_segment_starts() as batches:
+        for T in flatness.loop_t_grid(q):
+            concatenate_loop_per_gap(model, p, q, T, opts, config=config)
+    assert len(batches) == q * len(flatness.loop_t_grid(q))
+    assert all(len(W0) == 14 for W0, *_ in batches)
+    return tuple(batches)
+
+
+@functools.lru_cache(maxsize=None)
+def shared_gap_solve(name, p, q, seed=3):
+    """The one newton_segment_starts call of flatness_curve(p/q) on MODELS[name]."""
     with recording_segment_starts() as batches:
         flatness.flatness_curve(MODELS[name], p, q, options=SolveOptions(seed=seed))
-    assert batches and all(len(W0) == 14 for W0, *_ in batches)
+    assert len(batches) == 1 and len(batches[0][0]) == 14
     return tuple(batches)
 
 
@@ -379,7 +398,7 @@ def replay_batch(model, W0, left, right, opts):
 @pytest.mark.parametrize("name,p,q", [("fk", 0, 1), ("fk", 1, 2), ("fk", 1, 3), ("fk", 2, 5),
                                       ("fourier", 0, 1)])
 def test_batch_rows_match_single_starts_on_gap_solves(name, p, q):
-    for W0, left, right, opts in gap_solves(name, p, q):
+    for W0, left, right, opts in gap_solves(name, p, q) + shared_gap_solve(name, p, q):
         replay_batch(MODELS[name], W0, left, right, opts)
 
 

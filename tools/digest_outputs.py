@@ -143,7 +143,7 @@ def orbit_digests(bench, cli, model: Path, requests, flatness, tag: str, seed: i
 
 
 def loop_digests(model, p: int, q: int, tag: str, seed: int):
-    """Each default-grid loop of p/q, solved as flatness_curve solves it."""
+    """Each default-grid loop of p/q, built by concatenate_loop for that T alone."""
     from staircase_lab import flatness, solvers, variational
 
     options = solvers.SolveOptions(seed=seed)
