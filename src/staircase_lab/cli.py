@@ -22,24 +22,16 @@ from .hyperbolicity import full_report, pn_barrier
 from .model import load_model
 from .scan import (
     ScanConfig,
-    _attempt,
-    ac_part_record,
-    cohomology_window,
     flatness_record,
-    grid_table,
     parse_scan_config,
-    probe_rationals,
-    probe_records,
+    probe_kam,
     run_scan,
-    scan_rationals,
     write_flatness_csv,
     write_report,
 )
 from .solvers import SolveOptions
-from .staircase import BetaTable, legendre, normalize_rational
+from .staircase import BetaTable, normalize_rational
 from .variational import minimize_periodic
-
-import numpy as np
 
 
 @functools.cache
@@ -138,8 +130,6 @@ def _load_config(args, require_scan: bool) -> ScanConfig:
 
 def _cmd_scan(args) -> int:
     config = _load_config(args, require_scan=True)
-    if config.out_dir is None:
-        raise ConfigError("scan requires out_dir in [scan] or --out-dir")
     code, report = run_scan(config)
     if "error" in report:
         err = report["error"]
@@ -200,24 +190,7 @@ def _cmd_pn_barrier(args) -> int:
 
 
 def _cmd_probe_kam(args) -> int:
-    config = _load_config(args, require_scan=False)
-    model = config.model
-    cache = BetaCache(config.cache_dir) if config.cache_dir else None
-    table, failures = grid_table(config, cache, scan_rationals(config) + probe_rationals(config))
-    report = {
-        "model": {"hash": model.model_hash, **model.to_config_dict()},
-        "config_digest": config.config_digest,
-        "probes": probe_records(table, config.probes, failures),
-        "failures": failures,
-    }
-    windows = [t.window for t in config.probes if t.window is not None]
-    if windows:
-        window = cohomology_window(table, config, failures)
-        if window is not None:
-            stair = _attempt(failures, "staircase", legendre,
-                             table, np.linspace(window[0], window[1], config.c_grid))
-            if stair is not None:
-                report["ac_part"] = ac_part_record(stair, windows)
+    report = probe_kam(_load_config(args, require_scan=False))
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)

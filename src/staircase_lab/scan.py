@@ -15,9 +15,12 @@ serial pass.  With a fixed seed two runs produce byte-identical
 artifacts and cache records at any worker count, and a warm cache changes
 nothing but the wall time.
 
-grid_table is the grid stage the scan shares with probe-kam.  Later stages run
-through _attempt, which records a StaircaseLabError as a failure instead of
-aborting the run.
+This module alone knows the stage order: grid (grid_table), window
+(cohomology_window), locking, estimators, staircase (staircase_stage),
+flatness, then probes and ac-part (probe_stages).  probe_kam runs the grid,
+window, staircase and probe stages in that order.  Every stage after the
+grid runs through _attempt, which records a StaircaseLabError as a failure
+instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -429,32 +432,6 @@ def flatness_record(curve) -> dict:
     }
 
 
-def probe_records(table: BetaTable, probes, failures) -> list[dict]:
-    """One convexity-probe record per target; a failing probe goes to failures."""
-    records = []
-    for target in probes:
-        res = _attempt(failures, f"probe cf={list(target.cf)}",
-                       convexity_probe, table, target.cf, target.delta)
-        if res is None:
-            continue
-        records.append({
-            "cf": list(target.cf), "target": res.target, "c_low": res.c_low,
-            "C_high": res.C_high, "slope": res.slope, "intercept": res.intercept,
-            "n_samples": res.n_samples,
-        })
-    return records
-
-
-def ac_part_record(stair, windows) -> dict:
-    """The report record of the Lipschitz lower bound on the unlocked measure."""
-    ac = ac_part_probe(stair, windows)
-    return {
-        "bound": ac.bound, "lipschitz": ac.lipschitz,
-        "c_windows": [list(w) for w in ac.c_windows],
-        "n_segments": ac.n_segments,
-    }
-
-
 # ---- the scan driver ------------------------------------------------------------
 
 
@@ -519,6 +496,59 @@ def cohomology_window(table: BetaTable, config: ScanConfig, failures):
     return _attempt(failures, "window", ends)
 
 
+def staircase_stage(table: BetaTable, config: ScanConfig, window, failures):
+    """legendre over c_grid points of the window; None without a window."""
+    if window is None:
+        return None
+    return _attempt(failures, "staircase", legendre,
+                    table, np.linspace(window[0], window[1], config.c_grid))
+
+
+def probe_stages(table: BetaTable, config: ScanConfig, stair, failures) -> dict:
+    """{"probes": one convexity-probe record per target}, plus "ac_part", the
+    Lipschitz lower bound on the unlocked measure, when a probe has a window
+    and the staircase exists.  A failing probe goes to failures."""
+    records = []
+    for target in config.probes:
+        res = _attempt(failures, f"probe cf={list(target.cf)}",
+                       convexity_probe, table, target.cf, target.delta)
+        if res is not None:
+            records.append({
+                "cf": list(target.cf), "target": res.target, "c_low": res.c_low,
+                "C_high": res.C_high, "slope": res.slope, "intercept": res.intercept,
+                "n_samples": res.n_samples,
+            })
+    out: dict = {"probes": records}
+    windows = [t.window for t in config.probes if t.window is not None]
+    if windows and stair is not None:
+        ac = ac_part_probe(stair, windows)
+        out["ac_part"] = {
+            "bound": ac.bound, "lipschitz": ac.lipschitz,
+            "c_windows": [list(w) for w in ac.c_windows], "n_segments": ac.n_segments,
+        }
+    return out
+
+
+def probe_kam(config: ScanConfig) -> dict:
+    """The probe-kam report: the grid stage on the scan and probe rationals,
+    the window and staircase stages when a probe has a window, then the probe
+    stages.  With nu set, the scan's estimator terms also enter its staircase,
+    so ac_part may differ from the scan's."""
+    cache = BetaCache(config.cache_dir) if config.cache_dir else None
+    table, failures = grid_table(config, cache,
+                                 scan_rationals(config) + probe_rationals(config))
+    stair = None
+    if any(t.window is not None for t in config.probes):
+        stair = staircase_stage(table, config, cohomology_window(table, config, failures),
+                                failures)
+    return {
+        "model": {"hash": config.model.model_hash, **config.model.to_config_dict()},
+        "config_digest": config.config_digest,
+        **probe_stages(table, config, stair, failures),
+        "failures": failures,
+    }
+
+
 def run_scan(config: ScanConfig):
     """Runs the whole experiment described by config.
 
@@ -528,7 +558,7 @@ def run_scan(config: ScanConfig):
     yields a nonzero status and a report.json carrying the error record.
     """
     if config.out_dir is None:
-        raise ConfigError("scan requires an output directory (out_dir)")
+        raise ConfigError("scan requires an output directory: [scan] out_dir or --out-dir")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report: dict = {
@@ -595,10 +625,7 @@ def _run_scan_inner(config: ScanConfig, out: Path, report: dict) -> int:
         for k, nu, th, Q, val in estimator_rows
     ]
 
-    stair = None
-    if window is not None:
-        stair = _attempt(failures, "staircase", legendre,
-                         table, np.linspace(window[0], window[1], config.c_grid))
+    stair = staircase_stage(table, config, window, failures)
     write_csv(out / "staircase.csv", ("c", "d_alpha"),
               list(stair.d_alpha) if stair is not None else [])
 
@@ -621,10 +648,7 @@ def _run_scan_inner(config: ScanConfig, out: Path, report: dict) -> int:
         flatness_records.append(flatness_record(curve))
     results["flatness"] = flatness_records
 
-    results["probes"] = probe_records(table, config.probes, failures)
-    windows = [t.window for t in config.probes if t.window is not None]
-    if windows and stair is not None:
-        results["ac_part"] = ac_part_record(stair, windows)
+    results.update(probe_stages(table, config, stair, failures))
 
     results["n_rationals"] = len(scan_rationals(config))
     results["failures"] = failures

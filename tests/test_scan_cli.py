@@ -401,6 +401,16 @@ def test_scan_requires_out_dir():
         run_scan(cfg)
 
 
+def test_cli_scan_without_out_dir_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(K0_TEXT)
+    assert main(["scan", str(cfg)]) == 2
+    assert [f.name for f in tmp_path.iterdir()] == ["scan.cfg"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "out_dir" in err[0]
+
+
 # ---- failure isolation ------------------------------------------------------------
 
 
@@ -433,8 +443,8 @@ def _nc(stage, at, **pq):
 
 
 # The failures list of a POOL_TEXT scan with NoConvergence injected at one
-# rational, or NonconvexTerm raised by the Legendre transform.  Together the
-# cases reach every isolated stage.
+# rational (or two), or NonconvexTerm raised by the Legendre transform.
+# Together the cases reach every isolated stage.
 STAGE_FAILURES = {
     "1/3": [
         _nc("beta", "1/3", p=1, q=3),
@@ -462,6 +472,15 @@ STAGE_FAILURES = {
         _nc("hausdorff nu=0.5 theta=0.5 Q=3", "1/4"),
         _nc("flatness 0/1", "1/4"),
     ],
+    "0/1,1/2": [
+        _nc("beta", "0/1", p=0, q=1),
+        _nc("beta", "1/2", p=1, q=2),
+        _nc("derivative", "0/1", p=0, q=1),
+        _nc("derivative", "1/2", p=1, q=2),
+        _nc("window", "0/1"),
+        _nc("flatness 0/1", "0/1"),
+        _nc("probe cf=[0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]", "1/2"),
+    ],
     "staircase": [
         {"stage": "staircase", "error": "NonconvexTerm",
          "message": "injected nonconvex staircase"},
@@ -470,7 +489,8 @@ STAGE_FAILURES = {
 
 
 def _inject(monkeypatch, case):
-    """NoConvergence from beta_at at the rational `case`, or a failing legendre."""
+    """NoConvergence from beta_at at each rational of `case` ("0/1,1/2"), or a
+    failing legendre."""
     from staircase_lab import staircase as stair_mod
     if case == "staircase":
         def nonconvex(*args, **kwargs):
@@ -478,10 +498,10 @@ def _inject(monkeypatch, case):
         monkeypatch.setattr(sc, "legendre", nonconvex)
         return
     real = stair_mod.beta_at
-    at = tuple(int(v) for v in case.split("/"))
+    at = {tuple(int(v) for v in r.split("/")) for r in case.split(",")}
 
     def failing(model, p, q, **kwargs):
-        if (p, q) == at:
+        if (p, q) in at:
             raise NoConvergence(f"injected failure at {p}/{q}")
         return real(model, p, q, **kwargs)
 
@@ -499,24 +519,20 @@ def test_stage_failure_records(tmp_path, monkeypatch, case):
         assert report["results"]["failures"] == STAGE_FAILURES[case]
 
 
-def test_probe_kam_failure_records_match_the_scan(tmp_path, monkeypatch, capsys):
-    _inject(monkeypatch, "1/2")
+@pytest.mark.parametrize("case", ["1/2", "0/1,1/2"])
+def test_probe_kam_failure_records_match_the_scan(tmp_path, monkeypatch, capsys, case):
+    _inject(monkeypatch, case)
     cfg = tmp_path / "pool.cfg"
     cfg.write_text(POOL_TEXT)
     assert main(["probe-kam", str(cfg)]) == 0
     printed = json.loads(capsys.readouterr().out)["failures"]
-    shared = [f for f in STAGE_FAILURES["1/2"]
-              if f["stage"] in ("beta", "derivative", "window")
+    shared = [f for f in STAGE_FAILURES[case]
+              if f["stage"] in ("beta", "derivative", "window", "staircase")
               or f["stage"].startswith("probe ")]
-
-    def by_content(records):
-        return sorted(records, key=lambda f: json.dumps(f, sort_keys=True))
-
-    assert by_content(printed) == by_content(shared)
+    assert printed == shared
 
 
 def test_probe_kam_records_a_failing_staircase(tmp_path, monkeypatch, capsys):
-    import staircase_lab.cli as cli_mod
     cfg = tmp_path / "pool.cfg"
     cfg.write_text(POOL_TEXT)
     assert main(["probe-kam", str(cfg)]) == 0
@@ -525,7 +541,7 @@ def test_probe_kam_records_a_failing_staircase(tmp_path, monkeypatch, capsys):
     def nonconvex(*args, **kwargs):
         raise NonconvexTerm("injected nonconvex staircase")
 
-    monkeypatch.setattr(cli_mod, "legendre", nonconvex)
+    monkeypatch.setattr(sc, "legendre", nonconvex)
     assert main(["probe-kam", str(cfg)]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert "ac_part" in clean and "ac_part" not in printed
@@ -661,12 +677,18 @@ def test_cli_probe_kam(capsys, tmp_path):
     assert record["failures"] == []
 
 
-def test_probe_kam_prints_the_scan_probe_records(capsys, tmp_path):
+# On k = 0 with c_grid = 201, the probe convergents would move the staircase
+# if probe-kam ran legendre after the probes: ac_part bound 0.05, not 0.04.
+@pytest.mark.parametrize("k, c_grid, cf", [
+    (0.5, 21, "0,1,1,1,1,1,1,1,1,1,1,1,1,1"),
+    (0.0, 201, "0,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1"),
+], ids=["k=0.5", "k=0-c_grid=201"])
+def test_probe_kam_prints_the_scan_probe_records(capsys, tmp_path, k, c_grid, cf):
     cfg = tmp_path / "probe.cfg"
-    cfg.write_text("[model]\nfamily = frenkel-kontorova\nk = 0.5\n"
-                   "[scan]\nq_max = 4\nc_grid = 21\n"
+    cfg.write_text(f"[model]\nfamily = frenkel-kontorova\nk = {k}\n"
+                   f"[scan]\nq_max = 4\nc_grid = {c_grid}\n"
                    f"cache_dir = {tmp_path / 'cache'}\nout_dir = {tmp_path / 'scan'}\n"
-                   "[probe]\ncf = 0,1,1,1,1,1,1,1,1,1,1,1,1,1\n"
+                   f"[probe]\ncf = {cf}\n"
                    "rho_lo = 0.5\nrho_hi = 0.7\n")
     assert main(["scan", str(cfg)]) == 0
     report = json.loads((tmp_path / "scan" / "report.json").read_text())

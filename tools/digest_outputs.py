@@ -19,6 +19,10 @@ prints one "<sha256>  <label>" line for:
   the benchmark's Frenkel-Kontorova model never takes.  (`pn-barrier 1/2`
   exits 1 with NoConvergence on this model; its exit code and message are
   digested like any other output.)
+- the exit code, stdout and stderr of probe-kam on K0_PROBE, an FK k = 0
+  config whose window probe gives a positive ac_part (on the benchmark's
+  k = 2 model everything is locked and ac_part is 0), with c_grid = 201 so
+  that a staircase built after the probes would show in the bound;
 - the raw loops of `flatness.concatenate_loop` for FK 0/1, 1/2, 1/3, 2/5
   and FOURIER_MODEL 1/2, at every T of the default grid: the positions
   bytes, `action_per_site` and `deformation_cost`.  The command outputs
@@ -79,6 +83,21 @@ workers = 1
 [flatness]
 p = 0
 q = 1
+"""
+
+K0_PROBE = """[model]
+family = frenkel-kontorova
+k = 0.0
+
+[scan]
+q_max = 4
+c_grid = 201
+seed = {seed}
+
+[probe]
+cf = 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1
+rho_lo = 0.5
+rho_hi = 0.7
 """
 
 FOURIER_REQUESTS = (("beta", 1, 2), ("beta", 2, 5), ("hyperbolicity", 1, 2),
@@ -213,6 +232,9 @@ def digests(bench, seed: int, work: Path):
         cfg.write_text(text)
         yield from cli_digests(bench, cli, f"probe-kam seed={seed} workers={workers}",
                                ["probe-kam", str(cfg)])
+    cfg = work / f"k0-probe-{seed}.cfg"
+    cfg.write_text(K0_PROBE.format(seed=seed))
+    yield from cli_digests(bench, cli, f"k0 probe-kam seed={seed}", ["probe-kam", str(cfg)])
 
     model = work / "model"
     model.write_text(bench.MODEL_TEXT)
