@@ -67,10 +67,11 @@ def payload_checksum(payload: dict | str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# put writes render_json({"checksum": c, "payload": P}) + "\n", which reads
+# A record is render_json({"checksum": c, "payload": P}) + "\n", which reads
 # _HEAD + c + _MID + render_json(P, 2) + _TAIL + "\n".  render_json(P, 2) is
 # render_json(P) with two spaces after every newline (strings are escaped, so
-# every newline is layout), which lets a record be checked on its own bytes.
+# every newline is layout), which lets a record be checked on its own bytes,
+# and lets put render P once, for both the checksum and the record.
 _HEAD = '{\n  "checksum": "'
 _MID = '",\n  "payload": '
 _TAIL = "\n}"
@@ -187,12 +188,13 @@ class BetaCache:
                     f"differs from recomputation by {drift:.3e} (> {PAYLOAD_TOL})"
                 )
             return path
-        record = {"payload": payload, "checksum": payload_checksum(payload)}
+        text = render_json(payload)
+        record = (_HEAD + payload_checksum(text) + _MID + text.replace("\n", "\n  ")
+                  + _TAIL + "\n")
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(render_json(record))
-            fh.write("\n")
+            fh.write(record)
         os.replace(tmp, path)
         return path
 

@@ -34,7 +34,7 @@ from .errors import ConfigError, TwistViolated
 TWO_PI = 2.0 * math.pi
 
 FAMILIES = ("frenkel-kontorova", "fourier-potential")
-_DERIVED = ("_terms", "model_hash")  # cached properties, never pickled
+_DERIVED = ("_terms", "_minima", "model_hash")  # cached properties, never pickled
 
 
 def _constant(c: float, x, xp):
@@ -102,8 +102,15 @@ class GeneratingModel:
                           for n, ca, sa in self.harmonics)
         return tuple(t for t in terms if t[1] or t[2])
 
+    @cached_property
+    def _minima(self) -> np.ndarray:
+        """potential_minima() at its default sampling, read-only, computed once."""
+        minima = self.potential_minima()
+        minima.flags.writeable = False
+        return minima
+
     def __getstate__(self):
-        # _terms and model_hash are derived: pickle the fields only
+        # the cached properties are derived: pickle the fields only
         return {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
 
     def potential(self, x):

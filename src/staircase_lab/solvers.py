@@ -52,8 +52,9 @@ Minimality is certified by Sylvester's law of inertia: H + shift*I is
 positive definite exactly when every LDL^T pivot (LAPACK dpttrf) of the open
 chain is positive and, in the periodic case, so is the Schur complement of
 the last site, which couples to site 0 through the corner.  Critical points
-are deduplicated by class_distance, which compares only the index shifts
-that can come within the threshold.
+are deduplicated by class_distance, which compares in full only the index
+shifts that pass two one-site filters: site 0, and the site circularly
+farthest from it, must each come within the threshold.
 
 The periodic problem is solved in displacement coordinates u_i = x_i - i*p/q
 (periodic in i, O(1) magnitude).  Working on the lift directly quantizes
@@ -466,18 +467,28 @@ def class_distance(x1, x2, q, tol):
     Compares the q fractional entries z_i = x_i mod 1 under an index shift with
     a circular per-entry metric, so representatives on opposite sides of the
     seam (x near 0 versus x near 1) compare as the same class.  A shift can
-    reach a maximum <= tol only if its first entry is within tol of z2[0], so
-    only those shifts are compared: the result is the minimum over all shifts
-    whenever that minimum is <= tol, and otherwise some value > tol (inf when
-    no shift qualifies).
+    reach a maximum <= tol only if its entry at site 0 is within tol of
+    z2[0], and its entry at site m within tol of z2[m], where m is the site
+    of z2 circularly farthest from z2[0] (in a hyperbolic configuration most
+    sites sit within tol of each other, so one site rarely decides).  Only
+    the shifts passing both filters are compared in full: the result is the
+    minimum over all shifts whenever that minimum is <= tol, and otherwise
+    some value > tol (inf when no shift qualifies).
     """
     z1 = np.mod(np.asarray(x1, dtype=float), 1.0)
     z2 = np.mod(np.asarray(x2, dtype=float), 1.0)
     d0 = z1 - z2[0]
     d0 = np.abs(d0 - np.round(d0))
+    cand = np.flatnonzero(d0 <= tol)
+    if len(cand) > 1:
+        dm = z2 - z2[0]
+        m = int(np.argmax(np.abs(dm - np.round(dm))))
+        dm = z1[(cand + m) % q] - z2[m]
+        cand = cand[np.abs(dm - np.round(dm)) <= tol]
+    zz = np.concatenate([z1, z1])
     best = np.inf
-    for s in np.flatnonzero(d0 <= tol):
-        d = np.roll(z1, -s) - z2
+    for s in cand:
+        d = zz[s : s + q] - z2
         d = np.abs(d - np.round(d))
         best = min(best, float(d.max()))
     return best
@@ -489,7 +500,7 @@ def integrable_seed(p, q, phase=0.0):
 
 def anti_integrable_seed(model, p, q, phase=0.0):
     """Each site snapped to the nearest lift of a potential minimum."""
-    minima = model.potential_minima()
+    minima = model._minima
     t = phase + np.arange(q) * (p / q)
     d = t[:, None] - minima[None, :]
     shift = np.round(d)

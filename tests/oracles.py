@@ -18,7 +18,8 @@ the next the per-site lift that TranslateLadder used before it was
 vectorized, then the series-form model kernels and the np.roll neighbor
 differences that the lean kernels and indexed neighbors replaced, then
 the cache-record check that parsed the whole record and re-rendered its
-payload, before records were checked on the bytes read, and last the loop
+payload, before records were checked on the bytes read, and the record
+writer that rendered each payload twice, and last the loop
 builder that solved every gap of every loop on its own, before the loops
 became images of one gap-1 segment.
 """
@@ -32,7 +33,8 @@ from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 
 from staircase_lab import flatness, solvers
-from staircase_lab.cache import render_json
+from staircase_lab.cache import payload_checksum, render_json
+from staircase_lab.staircase import normalize_rational
 
 
 def fd_partials(model, x, xp, step=1e-5, step2=5e-4):
@@ -570,6 +572,29 @@ def rerender_check(text):
         return None
     actual = hashlib.sha256(render_json(payload).encode("utf-8")).hexdigest()
     return payload if actual == stored else None
+
+
+def cache_record_two_renders(model, cfg):
+    """The record text of BetaCache.put as it was before it rendered the
+    payload once: the payload rendered inside payload_checksum, then the
+    whole record rendered again."""
+    from staircase_lab import __version__
+
+    p, q = normalize_rational(cfg.p, cfg.q)
+    payload = {
+        "model_hash": model.model_hash,
+        "p": p,
+        "q": q,
+        "action_total": float(cfg.action_total),
+        "beta": float(cfg.action_total) / q,
+        "positions": [float(x) for x in cfg.positions],
+        "residual_sup": float(cfg.residual_sup),
+        "is_certified_minimal": bool(cfg.is_certified_minimal),
+        "seed_label": cfg.seed_label,
+        "tool_version": __version__,
+    }
+    record = {"payload": payload, "checksum": payload_checksum(payload)}
+    return render_json(record) + "\n"
 
 
 # ---- loops with one gap solve per gap ---------------------------------------

@@ -19,7 +19,7 @@ from staircase_lab.model import frenkel_kontorova
 from staircase_lab.solvers import SolveOptions
 from staircase_lab.variational import beta_at, minimize_periodic
 
-from oracles import rerender_check
+from oracles import cache_record_two_renders, rerender_check
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +332,30 @@ def test_scan_records_pass_both_checks(tmp_path, bench, seed):
     code, _ = scan.run_scan(config)
     assert code == 0
     assert assert_checks_agree(tmp_path / "cache", config.model) > 50
+
+
+@pytest.mark.parametrize("which", ["benchmark", "fourier"])
+def test_put_writes_the_two_render_records(tmp_path, monkeypatch, bench, digest_tool, which):
+    text = (bench.SCAN_CONFIG.format(seed=0, workers=1) if which == "benchmark"
+            else digest_tool.FOURIER_SCAN.format(seed=0))
+    written = []
+    real_put = ch.BetaCache.put
+
+    def put(self, model, cfg):
+        path = real_put(self, model, cfg)
+        written.append((path, cache_record_two_renders(model, cfg)))
+        return path
+
+    monkeypatch.setattr(ch.BetaCache, "put", put)
+    config = dataclasses.replace(scan.parse_scan_config(text), out_dir=str(tmp_path / "out"),
+                                 cache_dir=str(tmp_path / "cache"))
+    assert scan.run_scan(config)[0] == 0
+    assert len(written) == len(list((tmp_path / "cache").rglob("*.json"))) > 10
+    for path, want in written:
+        got = path.read_bytes().decode("utf-8")
+        assert got == want, path.name
+        stored, payload_text = ch._record_payload_text(got)
+        assert ch.payload_checksum(payload_text) == stored
 
 
 def test_query_prefill_records_pass_both_checks(tmp_path, capsys, bench):

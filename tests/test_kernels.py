@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from staircase_lab import scan
+from staircase_lab import flatness, scan
 from staircase_lab.model import GeneratingModel, frenkel_kontorova
 from staircase_lab.solvers import (
     PeriodicProblem,
@@ -203,6 +203,61 @@ def test_class_distance_across_the_seam(q):
         want = class_distance_all_shifts(x, y, q)
         assert got <= tol and want <= tol and got == want
         assert class_distance(y, x, q, tol) == class_distance_all_shifts(y, x, q)
+
+
+def check_class_pairs(x, p, q, seed):
+    """class_distance against the all-shifts oracle on pairs built from x: the
+    same class under a random shift and translate, a seam pair, and near misses
+    with one site bumped by 2 * tol.  Returns the most shifts that passed the
+    first (site 0) filter in any pair."""
+    rng = np.random.default_rng(seed)
+    seam = x - x[0]  # site 0 exactly at z = 0 ...
+    across = seam.copy()
+    across[0] = -1e-13  # ... and at z = 1 - 1e-13
+    pairs = [(x, same_class(x, p, q, int(rng.integers(q)), float(rng.integers(-3, 4))), 0.0),
+             (seam, same_class(across, p, q, int(rng.integers(q)), 1.0), 0.0)]
+    for tol in (1e-8, 1e-7):
+        y = same_class(x, p, q, int(rng.integers(q)), float(rng.integers(-3, 4)))
+        z = np.mod(y, 1.0)
+        dz = np.abs((z - z[0]) - np.round(z - z[0]))
+        for site in {int(rng.integers(q)), int(np.argmax(dz))}:
+            miss = y.copy()
+            miss[site] += 2.0 * tol
+            pairs.append((x, miss, tol))
+    most = 0
+    for a, b, bump in pairs:
+        for x1, x2 in ((a, b), (b, a)):
+            want = class_distance_all_shifts(x1, x2, q)
+            d0 = np.mod(x1, 1.0) - np.mod(x2[0], 1.0)
+            for tol in (1e-8, 1e-7):
+                got = class_distance(x1, x2, q, tol)
+                assert (got <= tol) == (want <= tol) == (bump < tol), (p, q, tol, bump)
+                if want <= tol:
+                    assert got == want
+                most = max(most, int(np.sum(np.abs(d0 - np.round(d0)) <= tol)))
+    return most
+
+
+FLATNESS_TARGETS = ((0, 1), (1, 2), (1, 3), (2, 5))  # the benchmark's flatness commands
+FLATNESS_LOOPS = sorted({flatness.loop_rational(p, q, T) for p, q in FLATNESS_TARGETS
+                         for T in flatness.loop_t_grid(q)})
+
+
+@pytest.mark.parametrize("r", FLATNESS_LOOPS, ids=str)
+def test_class_distance_on_hyperbolic_loop_ground_states(r):
+    p, q = r.numerator, r.denominator
+    x = best_minimizer(MODELS["fk"], p, q, SolveOptions()).positions
+    check_class_pairs(x, p, q, q)
+
+
+def test_class_distance_on_long_scan_ground_states(bench):
+    config = scan.parse_scan_config(bench.SCAN_CONFIG.format(seed=0, workers=1))
+    long = [(p, q) for p, q in scan.work_list(config) if q >= 800]
+    assert long
+    for p, q in long:
+        x = best_minimizer(config.model, p, q, config.options).positions
+        # the many-shift case: most sites share z[0] to within tol
+        assert check_class_pairs(x, p, q, q) > q // 10
 
 
 # ---- canonical shift ---------------------------------------------------------

@@ -13,7 +13,7 @@ from staircase_lab.model import (
     load_model,
     parse_model,
 )
-from staircase_lab.solvers import SolveOptions
+from staircase_lab.solvers import SolveOptions, anti_integrable_seed
 from staircase_lab.variational import minimize_periodic
 
 from oracles import fd_partials
@@ -172,6 +172,34 @@ def test_potential_minima():
     mins = two_well.potential_minima()
     assert len(mins) == 2
     assert np.abs(two_well.potential_d1(mins)).max() < 1e-10
+
+
+MINIMA_MODELS = {
+    "fk": frenkel_kontorova(2.0),
+    "flipped": fourier_model(0.5, [(1, 0.3, 0.0)]),
+    "two_well": fourier_model(0.5, [(1, -0.2, 0.0), (2, -0.4, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MINIMA_MODELS))
+def test_minima_are_cached_read_only_and_never_pickled(name, monkeypatch):
+    model = dataclasses.replace(MINIMA_MODELS[name])
+    starts = [(p, q, phase) for p, q in ((0, 1), (1, 2), (2, 5), (89, 233))
+              for phase in (0.0, 0.5 / q)]
+    seeds = [anti_integrable_seed(model, p, q, phase).tobytes() for p, q, phase in starts]
+    minima = model._minima
+    assert model.__dict__["_minima"] is minima  # computed once, then read
+    assert minima.tobytes() == model.potential_minima().tobytes()
+    assert not minima.flags.writeable
+    with pytest.raises(ValueError):
+        minima[0] = 0.25
+    back = pickle.loads(pickle.dumps(model))
+    assert "_minima" not in back.__dict__ and back == model
+    # the same seeds from a fresh potential_minima() per call
+    monkeypatch.setattr(GeneratingModel, "_minima",
+                        property(lambda self: self.potential_minima()))
+    assert [anti_integrable_seed(back, p, q, phase).tobytes()
+            for p, q, phase in starts] == seeds
 
 
 def test_model_hash_deterministic():

@@ -31,6 +31,12 @@ prints one "<sha256>  <label>" line for:
   model: `heteroclinic_segment` of 1/3 across gaps 1-3 at T = 4 (positions
   bytes, action, multiplicity) and `verify_minimality` on the 2/5 ground
   state (ok, witness, worst_improvement).
+- the critical-point classes on the benchmark's model at the 20 loop
+  rationals of the LOOP_RATIONALS targets (every default-grid T): what
+  `solvers.solve_all_starts` returns (labels, actions, psd flags and
+  positions bytes) and `enumerate_minimizers(...).multiplicity` with
+  max(50, q) starts, whose class merge uses tol 1e-7.  A change to the class
+  dedup that merges or splits a class shows here.
 - `beta` with `--cache-dir` at each query rational of the benchmark (the
   Farey set of order QUERY_ORDER): run cold into a fresh cache directory,
   then warm twice, plus that cache tree.  Then the record of CORRUPT_AT gets
@@ -194,6 +200,26 @@ def segment_digests(model, seed: int):
     yield sha(repr(report.worst_improvement)), f"{label} worst_improvement"
 
 
+def class_digests(model, seed: int):
+    """solve_all_starts and enumerate_minimizers at each default-grid loop rational."""
+    from staircase_lab import flatness, solvers, variational
+
+    options = solvers.SolveOptions(seed=seed)
+    for p0, q0 in LOOP_RATIONALS:
+        for T in flatness.loop_t_grid(q0):
+            r = flatness.loop_rational(p0, q0, T)
+            p, q = r.numerator, r.denominator
+            label = f"classes {p}/{q} seed={seed}"
+            points = solvers.solve_all_starts(model, p, q, options)
+            yield sha(repr([c.label for c in points])), f"{label} labels"
+            yield sha(repr([c.action for c in points])), f"{label} actions"
+            yield sha(repr([c.psd for c in points])), f"{label} psd"
+            yield sha(b"".join(c.positions.tobytes() for c in points)), f"{label} positions"
+            found = variational.enumerate_minimizers(model, p, q, starts=max(50, q),
+                                                     options=options)
+            yield sha(repr(found.multiplicity)), f"{label} multiplicity"
+
+
 def warm_digests(bench, cli, model: Path, seed: int, work: Path):
     """Cold, then twice warm, beta queries per rational; then one corrupted record."""
     def query(p, q, cache):
@@ -243,6 +269,7 @@ def digests(bench, seed: int, work: Path):
     for p, q in LOOP_RATIONALS:
         yield from loop_digests(parse_model(bench.MODEL_TEXT), p, q, "", seed)
     yield from segment_digests(parse_model(bench.MODEL_TEXT), seed)
+    yield from class_digests(parse_model(bench.MODEL_TEXT), seed)
     yield from warm_digests(bench, cli, model, seed, work)
 
     tag = "fourier "
