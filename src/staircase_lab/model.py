@@ -14,9 +14,12 @@ whose amplitude is nonzero.  The sum runs in a fixed order: starting from
 w*w*(cos_amp*cos + sin_amp*sin).  A skipped term would only have added a
 signed zero to a sum that is never -0.0, so for finite x every result is
 bitwise equal to the full series over all harmonics (signed zeros included;
-FK at k = 0 has cos amplitude -0.0 and gives +0.0).  d12h and d22h are the
-constants -2a and 2a, and d11h = 2a + V''; each broadcasts only when x and x'
-differ in shape, and returns a float when the result is 0-d.
+FK at k = 0 has cos amplitude -0.0 and gives +0.0).  V' and V'' come
+together from potential_d12, one reduction and one pass over the terms;
+potential_d1 and potential_d2 are its two halves, and the solvers' fused
+gradient-and-Hessian kernels take both.  d12h and d22h are the constants
+-2a and 2a, and d11h = 2a + V''; each broadcasts only when x and x' differ
+in shape, and returns a float when the result is 0-d.
 """
 
 from __future__ import annotations
@@ -126,33 +129,36 @@ class GeneratingModel:
                 v = v + sa * np.sin(wx)
         return v if v.ndim else float(v)
 
-    def potential_d1(self, x):
+    def potential_d12(self, x):
+        """(V'(x), V''(x)) from one reduction and one trig pass."""
         x = np.mod(np.asarray(x, dtype=float), 1.0)
-        v = 0.0 if self._terms else np.zeros_like(x)
+        if self._terms:
+            v1 = v2 = 0.0
+        else:
+            v1, v2 = np.zeros_like(x), np.zeros_like(x)
         for w, ca, sa in self._terms:
             wx = w * x
             if ca and sa:
-                t = -ca * np.sin(wx) + sa * np.cos(wx)
+                s, c = np.sin(wx), np.cos(wx)
+                t1 = -ca * s + sa * c
+                t2 = ca * c + sa * s
             elif ca:
-                t = -ca * np.sin(wx)
+                t1 = -ca * np.sin(wx)
+                t2 = ca * np.cos(wx)
             else:
-                t = sa * np.cos(wx)
-            v = v + w * t
-        return v if v.ndim else float(v)
+                t1 = sa * np.cos(wx)
+                t2 = sa * np.sin(wx)
+            v1 = v1 + w * t1
+            v2 = v2 - w * w * t2
+        if v1.ndim:
+            return v1, v2
+        return float(v1), float(v2)
+
+    def potential_d1(self, x):
+        return self.potential_d12(x)[0]
 
     def potential_d2(self, x):
-        x = np.mod(np.asarray(x, dtype=float), 1.0)
-        v = 0.0 if self._terms else np.zeros_like(x)
-        for w, ca, sa in self._terms:
-            wx = w * x
-            if ca and sa:
-                t = ca * np.cos(wx) + sa * np.sin(wx)
-            elif ca:
-                t = ca * np.cos(wx)
-            else:
-                t = sa * np.sin(wx)
-            v = v - w * w * t
-        return v if v.ndim else float(v)
+        return self.potential_d12(x)[1]
 
     def potential_minima(self, samples: int = 2048) -> np.ndarray:
         """Local minima of V on [0, 1), refined by Newton on V'."""
@@ -167,10 +173,10 @@ class GeneratingModel:
         for x0 in cand:
             x = float(x0)
             for _ in range(60):
-                d2 = self.potential_d2(x)
+                d1, d2 = self.potential_d12(x)
                 if d2 <= 0.0:
                     break
-                step = self.potential_d1(x) / d2
+                step = d1 / d2
                 x -= step
                 if abs(step) < 1e-14:
                     break

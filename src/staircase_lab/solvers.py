@@ -17,12 +17,26 @@ differs between the problems:
   open chain.  newton_segment_starts runs many starts of one problem together.
 
 Each start is one coroutine, _newton_start: the plain damped Newton loop on
-its own state, which yields whenever it needs the model (a gradient, the
-Hessian parts with the structured step, or an action) and receives the
-value.  _damped_newton runs a stack of starts together and answers each
-round of requests with one evaluation on the stacked states; a lone state
-is evaluated as it is, without stacking.  Each start gets exactly what it
-would get alone, bit for bit:
+its own state, which yields whenever it needs an evaluation and receives the
+value.  There are three request kinds:
+
+- _LOCAL: the gradient and the Hessian parts (diag, off) at a state, from
+  one model pass (PeriodicProblem.local, segment_local): one reduction and
+  one sin/cos pass of GeneratingModel.potential_d12 give V' and V'', and the
+  sums run in the order of d2h + d1h and d11h + d22h, so every value is
+  bitwise what the separate partials give.
+- _STEP: the structured Newton step on those parts, nothing else.
+- _ACTION: the action at a state, for the Armijo search.
+
+A start keeps the action of its accepted trial as the next iterate's a0
+instead of asking for it again, and drops it after a full step.  The action
+depends only on the state's bytes, and a stacked row's total equals the
+lone one, so the carried value is the one a fresh request would return.
+
+_damped_newton runs a stack of starts together and answers each round of
+requests with one evaluation on the stacked states (or, for _STEP, the
+stacked parts); a lone request is answered as it is, without stacking.
+Each start gets exactly what it would get alone, bit for bit:
 
 - The model kernels are elementwise, and an action total is a sum over the
   last axis, the same pairwise summation per row as for one row alone.
@@ -36,13 +50,15 @@ would get alone, bit for bit:
   per-row dot products stay BLAS ddot, whose rounding a row-wise einsum or
   sum would not reproduce.
 
-Searches are answered before gradients, so the starts stay in step: every
-active start asks for its next gradient in the same round.
+Searches are answered before steps and steps before local kernels, so the
+starts stay in step: every active start asks for its next local kernel in
+the same round.
 
-One iterate maps a start's state to the next and depends on nothing else, so
-once a state repeats bit for bit every later state is known: when x_i equals
-an earlier x_k, the start would cycle with period i - k up to max_iter and
-end on x_j with j = k + (max_iter - k) mod (i - k).  It returns x_j, its
+One iterate maps a start's state to the next and depends on nothing else
+(a carried action is that state's own), so once a state repeats bit for
+bit every later state is known: when x_i equals an earlier x_k, the start
+would cycle with period i - k up to max_iter and end on x_j with
+j = k + (max_iter - k) mod (i - k).  It returns x_j, its
 residual and residual < tol at once, which is what running on to max_iter
 returns.  The cycles seen in practice are full steps at the float noise
 floor, just above the target, so states are recorded from a start's first
@@ -203,6 +219,22 @@ def shifted_newton_direction(diag, off, g, corner=None):
     return -g if s is None or float(np.dot(g, s)) >= 0.0 else s
 
 
+# ---- local kernels ------------------------------------------------------------
+
+
+def _local(model, xp, x, xn, off_shape):
+    """Gradient and Hessian parts at sites x with neighbours xp and xn.
+
+    The same operations as d2h(xp, x) + d1h(x, xn), d11h(x, xn) + d22h(xp, x)
+    and d12h, in the same order, with V' and V'' from one potential_d12.
+    """
+    a = model.a
+    d1, d2 = model.potential_d12(x)
+    g = -2.0 * a * (xp - x) + (2.0 * a * (x - xn) + d1)
+    diag = (2.0 * a + d2) + 2.0 * a
+    return g, diag, np.full(off_shape, -2.0 * a)
+
+
 # ---- periodic problem in displacement coordinates ---------------------------
 
 
@@ -224,16 +256,19 @@ class PeriodicProblem:
         return np.mod(u + self.frac, 1.0)
 
     def dnxt(self, u):
-        return u[self._nxt] - u + self.rat  # x_{i+1} - x_i
+        return u[..., self._nxt] - u + self.rat  # x_{i+1} - x_i
 
     def dprev(self, u):
-        return u[self._prv] - u - self.rat  # x_{i-1} - x_i
+        return u[..., self._prv] - u - self.rat  # x_{i-1} - x_i
 
-    def gradient(self, u):
+    def local(self, u):
+        """(g, diag, off) of one state or a stack, from one model pass.
+
+        g is the gradient d2h(z_prev, z) + d1h(z, z_next); diag (d11h + d22h)
+        and off (d12h, its last entry the corner) are the Hessian parts.
+        """
         z = self.z(u)
-        zp = z + self.dprev(u)
-        zn = z + self.dnxt(u)
-        return np.asarray(self.model.d2h(zp, z) + self.model.d1h(z, zn), dtype=float)
+        return _local(self.model, z + self.dprev(u), z, z + self.dnxt(u), z.shape)
 
     def action_fast(self, u):
         z = self.z(u)
@@ -245,12 +280,7 @@ class PeriodicProblem:
         return math.fsum(terms.tolist())
 
     def hessian_parts(self, u):
-        z = self.z(u)
-        zp = z + self.dprev(u)
-        zn = z + self.dnxt(u)
-        diag = np.asarray(self.model.d11h(z, zn) + self.model.d22h(zp, z), dtype=float)
-        off = np.atleast_1d(np.asarray(self.model.d12h(z, zn), dtype=float))
-        return diag, off
+        return self.local(u)[1:]
 
     def from_lift(self, x):
         return np.asarray(x, dtype=float) - np.arange(self.q) * self.rat
@@ -288,20 +318,23 @@ def periodic_hessian_dense(model, x, p, q):
 
 
 # evaluation requests of _newton_start, in the order the batch serves them
-_ACTION, _STEP, _GRADIENT = range(3)
+_ACTION, _STEP, _LOCAL = range(3)
 
 
 def _newton_start(x, free, fallback, opts):
     """One start of the damped Newton iteration, as a coroutine on its state x.
 
-    It yields the model evaluations it needs and receives their values:
-    (_GRADIENT, x, None) -> g, (_STEP, x, g) -> (diag, off, s) with s the
-    structured Newton step for -g or None, and (_ACTION, x, None) -> float.
-    fallback(diag, off, g) replaces a step that is missing, not a descent
-    direction, or exploding.  Returns (x, residual_sup, ok).
+    It yields the evaluations it needs and receives their values:
+    (_LOCAL, x) -> (g, diag, off), the gradient and the Hessian parts;
+    (_STEP, (diag, off, g)) -> the structured Newton step for -g or None;
+    (_ACTION, x) -> float.  fallback(diag, off, g) replaces a step that is
+    missing, not a descent direction, or exploding.  The action of an
+    accepted trial is the next iterate's a0; a full step drops it.  Returns
+    (x, residual_sup, ok).
     """
     target = 0.25 * opts.tol  # margin so re-evaluation stays under tol
     seen = None  # state bytes -> iterate, from the first full step on
+    a = None  # the action of x, when a search has evaluated it
     for it in range(opts.max_iter):
         if seen is not None:
             key = x.tobytes()
@@ -312,7 +345,7 @@ def _newton_start(x, free, fallback, opts):
                 i = k + (opts.max_iter - k) % (it - k) - first
                 return np.frombuffer(states[i]).copy(), resids[i], resids[i] < opts.tol
             states.append(key)
-        g = yield _GRADIENT, x, None
+        g, diag, off = yield _LOCAL, x
         res = float(np.abs(g).max())
         if res < target:
             return x, res, True
@@ -321,7 +354,7 @@ def _newton_start(x, free, fallback, opts):
         elif res < 1e-6:
             first, key = it, x.tobytes()
             seen, states, resids = {key: it}, [key], [res]
-        diag, off, s = yield _STEP, x, g
+        s = yield _STEP, (diag, off, g)
         if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(x).max()):
             s = fallback(diag, off, g)
         slope = float(np.dot(g, s))
@@ -331,44 +364,44 @@ def _newton_start(x, free, fallback, opts):
         if res < 1e-6:
             # quadratic basin: full steps, no action comparisons in noise
             x[free] += s
+            a = None
             continue
-        a0 = yield _ACTION, x, None
+        a0 = (yield _ACTION, x) if a is None else a
         t = 1.0
         while t >= 2.0 ** -40:
             xt = x.copy()
             xt[free] += t * s
-            if (yield _ACTION, xt, None) <= a0 + 1e-4 * t * slope:
+            a = yield _ACTION, xt
+            if a <= a0 + 1e-4 * t * slope:
                 x = xt
                 break
             t *= 0.5
         else:
             return x, res, False
-    res = float(np.abs((yield _GRADIENT, x, None)).max())
+    res = float(np.abs((yield _LOCAL, x)[0]).max())
     return x, res, res < opts.tol
 
 
-def _damped_newton(x, free, gradient, action, hessian_parts, solve, fallback, opts):
+def _damped_newton(x, free, local, action, solve, fallback, opts):
     """Damped Newton with Armijo backtracking on the sites [:, free] of each row of x.
 
     Each row of the (m, n) stack x is one start (_newton_start), and the
     starts advance together: each evaluation they ask for in the same round
-    is made once, on their states stacked, and a lone state is evaluated as
-    it is.  gradient, action and hessian_parts take one state (n,) or a stack
-    (m, n); gradient and action cover only the free sites, and
-    hessian_parts(x) -> (diag, off) is the structured second variation.
-    solve(diag, off, rhs) returns the Newton step (None on failure) of one
-    state's parts, or one step or None per row of stacked parts; it sees
-    stacks only when several starts ask together.  Returns one
-    (x, residual_sup, ok) per row.
+    is made once, on their states or parts stacked, and a lone request is
+    answered as it is.  local and action take one state (n,) or a stack
+    (m, n), and cover only the free sites: local(x) -> (g, diag, off) is the
+    gradient with the structured second variation.  solve(diag, off, rhs)
+    returns the Newton step (None on failure) of one state's parts, or one
+    step or None per row of stacked parts; it sees stacks only when several
+    starts ask together.  Returns one (x, residual_sup, ok) per row.
     """
-    def evaluate(request):
-        kind, state, g = request
-        if kind == _GRADIENT:
-            return gradient(state)
+    def evaluate(kind, arg):
+        if kind == _LOCAL:
+            return local(arg)
         if kind == _ACTION:
-            return float(action(state))
-        diag, off = hessian_parts(state)
-        return diag, off, solve(diag, off, -g)
+            return float(action(arg))
+        diag, off, g = arg
+        return solve(diag, off, -g)
 
     starts = [_newton_start(np.array(row, dtype=float), free, fallback, opts) for row in x]
     if len(starts) == 1:
@@ -377,28 +410,24 @@ def _damped_newton(x, free, gradient, action, hessian_parts, solve, fallback, op
         request = next(start)
         try:
             while True:
-                request = start.send(evaluate(request))
+                request = start.send(evaluate(*request))
         except StopIteration as stop:
             return [stop.value]
     out = [None] * len(starts)
     requests = {i: next(start) for i, start in enumerate(starts)}
     while requests:
-        # searches first, so that every start asks for its next gradient in
-        # the same round
+        # searches first, so that every start asks for its next local
+        # kernel in the same round
         kind = min(request[0] for request in requests.values())
         batch = [i for i, request in requests.items() if request[0] == kind]
         if len(batch) == 1:
-            values = [evaluate(requests[batch[0]])]
+            values = [evaluate(*requests[batch[0]])]
+        elif kind == _STEP:
+            diag, off, g = (np.array(parts) for parts in zip(*(requests[i][1] for i in batch)))
+            values = solve(diag, off, -g)
         else:
             states = np.array([requests[i][1] for i in batch])
-            if kind == _GRADIENT:
-                values = gradient(states)
-            elif kind == _ACTION:
-                values = action(states).tolist()
-            else:
-                diag, off = hessian_parts(states)
-                rhs = -np.array([requests[i][2] for i in batch])
-                values = zip(diag, off, solve(diag, off, rhs))
+            values = zip(*local(states)) if kind == _LOCAL else action(states).tolist()
         for i, value in zip(batch, values):
             try:
                 requests[i] = starts[i].send(value)
@@ -424,8 +453,8 @@ def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
         return shifted_newton_direction(diag, off[:-1], g, float(off[-1]))
 
     # one start, so solve and the model only ever see one state
-    return _damped_newton(np.asarray(u0, dtype=float)[None], slice(None), prob.gradient,
-                          prob.action_fast, prob.hessian_parts, solve, fallback, opts)[0]
+    return _damped_newton(np.asarray(u0, dtype=float)[None], slice(None), prob.local,
+                          prob.action_fast, solve, fallback, opts)[0]
 
 
 def certify_psd_periodic_u(prob: PeriodicProblem, u, shift=1e-8):
@@ -583,23 +612,14 @@ def _segment_action_fast(model, w, lo, hi):
     return model.eval_h(w[..., a:b], w[..., a + 1 : b + 1]).sum(axis=-1)
 
 
-def segment_gradient(model, w, lo, hi):
-    return np.asarray(
-        model.d2h(w[..., lo - 1 : hi - 1], w[..., lo:hi])
-        + model.d1h(w[..., lo:hi], w[..., lo + 1 : hi + 1]),
-        dtype=float,
-    )
+def segment_local(model, w, lo, hi):
+    """(g, diag, off) over the free sites [lo, hi) of one state w or a stack."""
+    return _local(model, w[..., lo - 1 : hi - 1], w[..., lo:hi], w[..., lo + 1 : hi + 1],
+                  w.shape[:-1] + (hi - lo - 1,))
 
 
 def segment_hessian_parts(model, w, lo, hi):
-    diag = np.asarray(
-        model.d11h(w[..., lo:hi], w[..., lo + 1 : hi + 1])
-        + model.d22h(w[..., lo - 1 : hi - 1], w[..., lo:hi]),
-        dtype=float,
-    )
-    off = np.asarray(model.d12h(w[..., lo : hi - 1], w[..., lo + 1 : hi]), dtype=float)
-    off = np.atleast_1d(off)
-    return diag, off
+    return segment_local(model, w, lo, hi)[1:]
 
 
 def solve_tridiag_stack(diag, off, rhs):
@@ -640,9 +660,8 @@ def newton_segment_starts(model, W0, n_fix_left, n_fix_right, opts: SolveOptions
         return [(w.copy(), 0.0, True) for w in W]
     return _damped_newton(
         W, slice(lo, hi),
-        lambda x: segment_gradient(model, x, lo, hi),
+        lambda x: segment_local(model, x, lo, hi),
         lambda x: _segment_action_fast(model, x, lo, hi),
-        lambda x: segment_hessian_parts(model, x, lo, hi),
         solve_tridiag_stack,
         shifted_newton_direction,
         opts,

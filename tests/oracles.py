@@ -7,14 +7,17 @@ simple, so the main library can be checked against them.  The last section
 keeps the dense and all-shifts linear-algebra paths that the solver's O(q)
 kernels replaced: dense Cholesky certificates, solve_banded solves, the
 class comparison over every index shift and the canonical shift's tie-break
-on tuples.  The next section keeps the two damped-Newton loops that
-solvers._damped_newton replaced, line for line, each with the fallback rule
-the solver follows now and with its former dense one (every q <= 200 for
-the periodic loop, every segment for the segment loop), and the periodic
-Gershgorin fallback as newton_periodic_u wrote it inline before
-solvers.shifted_newton_direction served both problems, plus _damped_newton
-as it was before it took a stack of states and stopped on a repeated state,
-the next the per-site lift that TranslateLadder used before it was
+on tuples.  The next section keeps the gradient and Hessian parts of both
+problems composed from the model's partials, as the solver composed them
+before its fused local kernels, and the two damped-Newton loops that
+solvers._damped_newton replaced, line for line, on those parts, each with
+the fallback rule the solver follows now and with its former dense one
+(every q <= 200 for the periodic loop, every segment for the segment
+loop), and the periodic Gershgorin fallback as newton_periodic_u wrote it
+inline before solvers.shifted_newton_direction served both problems, plus
+_damped_newton as it was before it took a stack of states, stopped on a
+repeated state and carried the accepted trial's action over, the next the
+per-site lift that TranslateLadder used before it was
 vectorized, then the series-form model kernels and the np.roll neighbor
 differences that the lean kernels and indexed neighbors replaced, then
 the cache-record check that parsed the whole record and re-rendered its
@@ -244,7 +247,7 @@ def _cholesky_pd(H, shift):
 
 def cholesky_psd_periodic(prob, u, shift=1e-8):
     """Dense Cholesky of the periodic second variation plus shift*scale*I."""
-    return _cholesky_pd(dense_tridiag(*prob.hessian_parts(u)), shift)
+    return _cholesky_pd(dense_tridiag(*periodic_hessian_parts(prob, u)), shift)
 
 
 def cholesky_psd_segment(model, w, n_fix_left, n_fix_right, shift=1e-8):
@@ -284,6 +287,45 @@ def canonical_shift_tuples(prob, u):
 # ---- the two Newton loops replaced by the shared damped-Newton driver -------
 
 
+def periodic_gradient(prob, u):
+    """PeriodicProblem's gradient d2h(z_prev, z) + d1h(z, z_next) from the partials."""
+    z = prob.z(u)
+    zp = z + prob.dprev(u)
+    zn = z + prob.dnxt(u)
+    return np.asarray(prob.model.d2h(zp, z) + prob.model.d1h(z, zn), dtype=float)
+
+
+def periodic_hessian_parts(prob, u):
+    """PeriodicProblem's (diag, off) from d11h, d22h and d12h; off[-1] is the corner."""
+    z = prob.z(u)
+    zp = z + prob.dprev(u)
+    zn = z + prob.dnxt(u)
+    diag = np.asarray(prob.model.d11h(z, zn) + prob.model.d22h(zp, z), dtype=float)
+    off = np.atleast_1d(np.asarray(prob.model.d12h(z, zn), dtype=float))
+    return diag, off
+
+
+def segment_gradient(model, w, lo, hi):
+    """The gradient over the free sites [lo, hi) of w from the partials."""
+    return np.asarray(
+        model.d2h(w[..., lo - 1 : hi - 1], w[..., lo:hi])
+        + model.d1h(w[..., lo:hi], w[..., lo + 1 : hi + 1]),
+        dtype=float,
+    )
+
+
+def segment_hessian_parts(model, w, lo, hi):
+    """(diag, off) over the free sites [lo, hi) of w from d11h, d22h and d12h."""
+    diag = np.asarray(
+        model.d11h(w[..., lo:hi], w[..., lo + 1 : hi + 1])
+        + model.d22h(w[..., lo - 1 : hi - 1], w[..., lo:hi]),
+        dtype=float,
+    )
+    off = np.asarray(model.d12h(w[..., lo : hi - 1], w[..., lo + 1 : hi]), dtype=float)
+    off = np.atleast_1d(off)
+    return diag, off
+
+
 def gershgorin_cyclic_direction(diag, off, g):
     """The periodic fallback at q >= 4 as newton_periodic_u wrote it inline,
     with off of length q (its last entry the corner) and the radius from
@@ -310,13 +352,13 @@ def _newton_periodic_u_loop(prob, u0, opts, dense_max_q):
     u = np.array(u0, dtype=float)
     q = prob.q
     target = 0.25 * opts.tol  # margin so re-evaluation stays under tol
-    res = float(np.abs(prob.gradient(u)).max())
+    res = float(np.abs(periodic_gradient(prob, u)).max())
     for _ in range(opts.max_iter):
-        g = prob.gradient(u)
+        g = periodic_gradient(prob, u)
         res = float(np.abs(g).max())
         if res < target:
             return u, res, True
-        diag, off = prob.hessian_parts(u)
+        diag, off = periodic_hessian_parts(prob, u)
         if q <= 3:
             s = None
         else:
@@ -347,7 +389,7 @@ def _newton_periodic_u_loop(prob, u0, opts, dense_max_q):
             t *= 0.5
         if not accepted:
             return u, res, False
-    res = float(np.abs(prob.gradient(u)).max())
+    res = float(np.abs(periodic_gradient(prob, u)).max())
     return u, res, res < opts.tol
 
 
@@ -377,11 +419,11 @@ def _newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts, fallback):
         return w, 0.0, True
     target = 0.25 * opts.tol
     for _ in range(opts.max_iter):
-        g = solvers.segment_gradient(model, w, lo, hi)
+        g = segment_gradient(model, w, lo, hi)
         res = float(np.abs(g).max())
         if res < target:
             return w, res, True
-        diag, off = solvers.segment_hessian_parts(model, w, lo, hi)
+        diag, off = segment_hessian_parts(model, w, lo, hi)
         s = solvers.solve_tridiag_sym(diag, off, -g)
         if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(w).max()):
             s = fallback(diag, off, g)
@@ -405,7 +447,7 @@ def _newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts, fallback):
             t *= 0.5
         if not accepted:
             return w, res, False
-    g = solvers.segment_gradient(model, w, lo, hi)
+    g = segment_gradient(model, w, lo, hi)
     res = float(np.abs(g).max())
     return w, res, res < opts.tol
 
@@ -431,8 +473,10 @@ def newton_segment_loop_dense(model, w0, n_fix_left, n_fix_right, opts):
 
 
 def damped_newton_loop(x, free, gradient, action, hessian_parts, solve, fallback, opts):
-    """The one-state driver before the batch and the cycle exit: every start
-    runs its own loop to max_iter.  The callbacks see one 1-D state."""
+    """The one-state driver before the batch, the cycle exit, the local
+    kernel and the carried action: every start runs its own loop to max_iter
+    and evaluates the action at each search's start.  The callbacks see one
+    1-D state."""
     target = 0.25 * opts.tol
     for _ in range(opts.max_iter):
         g = gradient(x)

@@ -40,11 +40,17 @@ MODELS = {
 
 
 class ShiftedModel:
-    """A model whose second variation is the base one plus t * identity."""
+    """A model whose second variation is the base one plus t * identity, in
+    d11h and in the V'' of the fused potential_d12 that the solvers' local
+    kernels read."""
 
     def __init__(self, base, t):
         self.base = base
         self.t = t
+
+    def potential_d12(self, x):
+        d1, d2 = self.base.potential_d12(x)
+        return d1, d2 + self.t
 
     def d11h(self, x, xp):
         return self.base.d11h(x, xp) + self.t

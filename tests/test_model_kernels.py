@@ -1,4 +1,5 @@
-"""The lean model kernels and indexed neighbors against the series-form oracles.
+"""The lean model kernels and indexed neighbors against the series-form oracles,
+and the solvers' fused local kernels against the partials they replaced.
 
 Every comparison is bitwise: the same return type (float or ndarray), the same
 shape, the same sign bits and the same float64 bit patterns.
@@ -8,10 +9,11 @@ import dataclasses
 import pickle
 
 import numpy as np
+import oracles
 import pytest
 
 from staircase_lab.model import GeneratingModel, frenkel_kontorova
-from staircase_lab.solvers import PeriodicProblem
+from staircase_lab.solvers import PeriodicProblem, segment_hessian_parts, segment_local
 
 from oracles import (
     d11h_series,
@@ -19,9 +21,12 @@ from oracles import (
     d22h_series,
     dnxt_roll,
     dprev_roll,
+    periodic_gradient,
+    periodic_hessian_parts,
     potential_d1_series,
     potential_d2_series,
     potential_series,
+    segment_gradient,
 )
 
 
@@ -100,6 +105,21 @@ def test_potential_kernels_match_the_series(family, name, oracle):
 
 
 @pytest.mark.parametrize("family", list(MODELS))
+def test_fused_potential_derivatives_match_the_series(family):
+    model = MODELS[family]
+    for x in INPUTS.values():
+        d1, d2 = model.potential_d12(x)
+        assert_bitwise(d1, potential_d1_series(model, x))
+        assert_bitwise(d2, potential_d2_series(model, x))
+
+
+def test_fused_potential_derivatives_are_separate_arrays():
+    # with no nonzero term both start from zeros: two arrays, not one
+    d1, d2 = MODELS["fk-k0"].potential_d12(_SITES)
+    assert not np.shares_memory(d1, d2)
+
+
+@pytest.mark.parametrize("family", list(MODELS))
 @pytest.mark.parametrize("name,oracle", [
     ("d11h", d11h_series),
     ("d12h", d12h_series),
@@ -128,6 +148,45 @@ def test_indexed_neighbors_match_roll(q, p):
     for u in (rng.standard_normal(q), rng.uniform(-0.5, 0.5, q) + 1e6, np.zeros(q)):
         assert_bitwise(prob.dnxt(u), dnxt_roll(prob, u))
         assert_bitwise(prob.dprev(u), dprev_roll(prob, u))
+
+
+def local_states(n, seed):
+    """Rows near an ordered chain, one near a lift of 1e6, and all zeros."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.uniform(-0.5, 0.5, n) + np.arange(n) * 0.4,
+                     rng.uniform(-0.5, 0.5, n) + 1e6, np.zeros(n)])
+
+
+def assert_parts(got, g, diag, off):
+    assert len(got) == 3
+    for a, b in zip(got, (g, diag, off)):
+        assert_bitwise(a, b)
+
+
+@pytest.mark.parametrize("q,p", [(1, 0), (2, 1), (3, 1), (13, 5), (233, 89)])
+@pytest.mark.parametrize("family", ["fk-k0", "fk-k2", "mixed", "three-harmonics"])
+def test_periodic_local_kernel_matches_the_partials(family, q, p):
+    prob = PeriodicProblem(MODELS[family], p, q)
+    U = local_states(q, q)
+    for u in U:
+        want = (periodic_gradient(prob, u), *periodic_hessian_parts(prob, u))
+        assert_parts(prob.local(u), *want)
+        assert_parts((prob.local(u)[0], *prob.hessian_parts(u)), *want)
+    # a stack gives each row what the row gives alone
+    for row, (g, diag, off) in zip(U, zip(*prob.local(U))):
+        assert_parts((g, diag, off), *prob.local(row))
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 2), (1, 3), (2, 9), (1, 10)])
+@pytest.mark.parametrize("family", ["fk-k0", "fk-k2", "mixed", "three-harmonics"])
+def test_segment_local_kernel_matches_the_partials(family, lo, hi):
+    model = MODELS[family]
+    W = local_states(11, hi)
+    for w in (*W, W):  # each state, then the stack
+        want = (segment_gradient(model, w, lo, hi),
+                *oracles.segment_hessian_parts(model, w, lo, hi))
+        assert_parts(segment_local(model, w, lo, hi), *want)
+        assert_parts((want[0], *segment_hessian_parts(model, w, lo, hi)), *want)
 
 
 @pytest.mark.parametrize("family", list(MODELS))

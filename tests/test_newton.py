@@ -12,7 +12,8 @@ what the loops give after max_iter, on the per-gap solves of the oracle
 loop builder and on the one gap-1 batch of flatness_curve.
 shifted_newton_direction, the fallback both problems share, is checked on
 its edge cases and, in its cyclic form, bit for bit against the inline
-code it replaced.  The loops and pinned
+code it replaced.  No start may evaluate the action of one state twice:
+the accepted trial's action is the next search's a0.  The loops and pinned
 sweeps that the segment solves build must agree with the former dense
 segment fallback (newton_segment_loop_dense) in loop action and barrier.
 """
@@ -22,6 +23,7 @@ import dataclasses
 import functools
 
 import numpy as np
+import oracles
 import pytest
 
 from staircase_lab import flatness, hyperbolicity, parse_model, scan, solvers, variational
@@ -83,7 +85,7 @@ def test_periodic_driver_matches_loop(name, q, max_iter, monkeypatch):
     prob = PeriodicProblem(model, p, q)
     dense = Calls(monkeypatch, solvers, "modified_newton_direction")
     cyclic = Calls(monkeypatch, solvers, "solve_cyclic_tridiag_sym")
-    steps = Calls(monkeypatch, PeriodicProblem, "hessian_parts")
+    steps = Calls(monkeypatch, PeriodicProblem, "local")
     for _, seed in build_seeds(model, p, q, opts):
         u0 = prob.from_lift(seed)
         assert_same(solvers.newton_periodic_u(prob, u0, opts),
@@ -242,6 +244,9 @@ class Quadratic:
     def hessian_parts(self, x):
         return np.ones(x.shape[:-1] + (1,)), np.zeros(x.shape[:-1] + (0,))
 
+    def local(self, x):
+        return (self.gradient(x), *self.hessian_parts(x))
+
     def solve(self, diag, off, rhs):
         if diag.ndim == 1:
             return self.solve_one(diag, off, rhs)
@@ -250,8 +255,8 @@ class Quadratic:
     def run(self, x0, max_iter=1):
         x = np.array([x0], dtype=float)
         return solvers._damped_newton(
-            x, self.free, self.gradient, self.action, self.hessian_parts,
-            self.solve, self.fallback, SolveOptions(max_iter=max_iter))[0]
+            x, self.free, self.local, self.action, self.solve, self.fallback,
+            SolveOptions(max_iter=max_iter))[0]
 
     def loop(self, x0, max_iter=1):
         return damped_newton_loop(
@@ -281,6 +286,77 @@ def test_driver_backtracks_to_2_to_the_minus_40_then_gives_up():
     x, res, ok = prob.run(start, max_iter=5)
     assert prob.actions == 1 + 41  # the start, then t = 1, 1/2, ..., 2**-40
     assert x.tobytes() == start.tobytes() and res == 1.0 and not ok
+
+
+# ---- the action carried over from the accepted trial ---------------------------
+
+
+class ActionStates:
+    """Records the state bytes each action evaluation sees, one list per start,
+    inside `with seen.start():` only."""
+
+    def __init__(self):
+        self.starts = []
+        self.current = None
+
+    @contextlib.contextmanager
+    def start(self):
+        self.current = []
+        try:
+            yield
+        finally:
+            self.starts.append(self.current)
+            self.current = None
+
+    def record(self, x):
+        if self.current is not None:
+            self.current.extend(row.tobytes() for row in np.atleast_2d(x))
+
+    def assert_each_state_once(self):
+        assert sum(map(len, self.starts)) > 0
+        for states in self.starts:
+            assert len(set(states)) == len(states)
+
+
+@pytest.mark.parametrize("q", [4, 13, 233])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_no_start_evaluates_the_action_of_a_state_twice(name, q, monkeypatch):
+    model, p = MODELS[name], P_OF[q]
+    prob = PeriodicProblem(model, p, q)
+    seen = ActionStates()
+    action_fast = PeriodicProblem.action_fast
+
+    def recording(self, u):
+        seen.record(u)
+        return action_fast(self, u)
+
+    monkeypatch.setattr(PeriodicProblem, "action_fast", recording)
+    for _, seed in build_seeds(model, p, q, SolveOptions(seed=3)):
+        u0 = prob.from_lift(seed)
+        with seen.start():
+            got = solvers.newton_periodic_u(prob, u0, SolveOptions())
+        assert_same(got, newton_periodic_u_loop(prob, u0, SolveOptions()))
+    seen.assert_each_state_once()
+
+
+def test_no_pinned_start_evaluates_the_action_of_a_state_twice(monkeypatch):
+    seen = ActionStates()
+    action = solvers._segment_action_fast
+    starts = solvers.newton_segment_starts
+
+    def recording_action(model, w, lo, hi):
+        seen.record(w)
+        return action(model, w, lo, hi)
+
+    def recording_starts(model, W0, *args):
+        assert len(W0) == 1  # every pinned solve is one start
+        with seen.start():
+            return starts(model, W0, *args)
+
+    monkeypatch.setattr(solvers, "_segment_action_fast", recording_action)
+    monkeypatch.setattr(solvers, "newton_segment_starts", recording_starts)
+    hyperbolicity.pn_barrier(MODELS["fk"], 1, 3)
+    seen.assert_each_state_once()
 
 
 def test_segment_needs_a_clamped_site_at_each_end():
@@ -346,17 +422,17 @@ def traced_loop(model, w0, left, right, opts):
     """newton_segment_loop's result and the period of its first repeated state
     (None if no state repeats)."""
     states = []
-    original = solvers.segment_gradient
+    original = oracles.segment_gradient
 
     def recording(model_, w, lo, hi):
         states.append(w.tobytes())
         return original(model_, w, lo, hi)
 
-    solvers.segment_gradient = recording
+    oracles.segment_gradient = recording
     try:
         result = newton_segment_loop(model, w0, left, right, opts)
     finally:
-        solvers.segment_gradient = original
+        oracles.segment_gradient = original
     seen = {}
     for i, key in enumerate(states):
         if key in seen:
@@ -413,9 +489,9 @@ def test_batch_row_taking_the_shifted_fallback(monkeypatch):
     solvers.newton_segment_starts(MODELS["fk"], W0, 1, 1, SolveOptions(max_iter=1))
     assert shifted.n == 1 and dense.n == 0
     diag, off, g = shifted.args[0]
-    want = solvers.segment_hessian_parts(MODELS["fk"], W0[1], 1, 4)
+    want = oracles.segment_hessian_parts(MODELS["fk"], W0[1], 1, 4)
     assert diag.tobytes() == want[0].tobytes() and off.tobytes() == want[1].tobytes()
-    assert g.tobytes() == solvers.segment_gradient(MODELS["fk"], W0[1], 1, 4).tobytes()
+    assert g.tobytes() == oracles.segment_gradient(MODELS["fk"], W0[1], 1, 4).tobytes()
     replay_batch(MODELS["fk"], W0, 1, 1, SolveOptions())
 
 
@@ -431,8 +507,7 @@ BAD_BLOCKS = {
 @pytest.mark.parametrize("bad", sorted(BAD_BLOCKS))
 def test_batch_row_whose_block_breaks_the_stacked_solve(bad, monkeypatch):
     W0 = np.array([[0.0, 0.1, 0.2, 0.3, 0.4], BAD_BLOCKS[bad], [0.0, 0.15, 0.3, 0.45, 0.6]])
-    diag, off = solvers.segment_hessian_parts(FLAT, W0, 1, 4)
-    g = solvers.segment_gradient(FLAT, W0, 1, 4)
+    g, diag, off = solvers.segment_local(FLAT, W0, 1, 4)
     steps = solvers.solve_tridiag_stack(diag, off, -g)
     assert steps[1] is None
     for j in (0, 2):
@@ -451,7 +526,7 @@ def test_batch_row_whose_armijo_search_gives_up(monkeypatch):
     # lowers the action enough
     stuck = 1e15 + 0.125 * np.array([0.0, 0.0, 12.0, 25.0, 39.0])
     W0 = np.array([[0.0, 0.2, 0.5, 0.8, 1.0], stuck, [0.0, 0.3, 0.5, 0.6, 1.0]])
-    gradients = Calls(monkeypatch, solvers, "segment_gradient")
+    gradients = Calls(monkeypatch, oracles, "segment_gradient")
     w, res, ok = newton_segment_loop(MODELS["fk"], stuck, 1, 1, SolveOptions())
     assert not ok and res > 1e-6 and gradients.n < SolveOptions().max_iter
     replay_batch(MODELS["fk"], W0, 1, 1, SolveOptions())
