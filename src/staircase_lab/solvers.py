@@ -12,6 +12,8 @@ differs between the problems:
   factorization; skipped for q <= 3).  Its fallback is the Gershgorin-shifted
   cyclic solve of shifted_newton_direction, O(q), except at q <= 3, where the
   couplings fold onto at most a 3x3 matrix: the dense eigenvalue-clipped step.
+  newton_periodic_starts runs many starts of one problem together;
+  solve_all_starts runs its starts that way at q >= 4.
 - newton_segment: interior sites of a segment with clamped ends.  The
   Hessian is tridiagonal (dgtsv), the fallback the same shifted solve on the
   open chain.  newton_segment_starts runs many starts of one problem together.
@@ -45,6 +47,13 @@ Each start gets exactly what it would get alone, bit for bit:
   inside each block; it adds or subtracts only signed zeros across the
   seam.  When the stacked solve fails or returns a non-finite entry (which
   0 * inf would spread to the next block), every row is solved alone.
+- The cyclic solve of a periodic round (solve_cyclic_tridiag_stack) is that
+  stacked solve on the Sherman-Morrison-modified blocks, with two
+  right-hand-side columns, each block's step and its vector
+  gamma*e0 + corner*e_{q-1}, and then each row's own rank-one correction.
+  The lone cyclic solve (q >= 3) is its one-row case, so the update is
+  written once.  A row whose denominator is 0 or non-finite gets no step,
+  undivided.
 - Everything else (slopes, step checks, fallback, steepest-descent guard,
   Armijo step lengths) is the start's own arithmetic on its own arrays;
   per-row dot products stay BLAS ddot, whose rounding a row-wise einsum or
@@ -151,6 +160,7 @@ def solve_cyclic_tridiag_sym(diag, off, corner, rhs):
     """Solve (tridiag + symmetric corner) via a rank-one Sherman-Morrison update.
 
     off has length n-1 (interior couplings); corner couples entries 0 and n-1.
+    From n = 3 on this is the one-row case of solve_cyclic_tridiag_stack.
     """
     n = len(diag)
     if n < 3:
@@ -159,25 +169,42 @@ def solve_cyclic_tridiag_sym(diag, off, corner, rhs):
         except np.linalg.LinAlgError:
             return None
         return out if np.all(np.isfinite(out)) else None
-    gamma = -diag[0] if diag[0] != 0.0 else 1.0
+    return solve_cyclic_tridiag_stack(diag[None], np.asarray(off)[None],
+                                      np.array([corner], dtype=float), rhs[None])[0]
+
+
+def solve_cyclic_tridiag_stack(diag, off, corner, rhs):
+    """Per-row solutions of the cyclic systems (diag[j], off[j], corner[j]), None for a failed row.
+
+    Each row has n >= 3 sites.  The rank-one Sherman-Morrison update moves
+    the corner into gamma*e0 + corner*e_{n-1}; the modified tridiagonal
+    blocks are solved for each row's rhs and that vector as two columns
+    (solve_tridiag_stack), and each row gets its own correction.  A row
+    whose modified solve or denominator fails is None, undivided.
+    """
+    m, n = diag.shape
+    gamma = -diag[:, 0]
+    gamma[gamma == 0.0] = 1.0
     d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= corner * corner / gamma
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = corner
-    yz = solve_tridiag_sym(d, off, np.column_stack((rhs, u)))
-    if yz is None:
-        return None
-    y, z = yz[:, 0], yz[:, 1]
+    d[:, 0] -= gamma
+    d[:, -1] -= corner * corner / gamma
+    b = np.zeros((m, n, 2))
+    b[:, :, 0] = rhs
+    b[:, 0, 1] = gamma
+    b[:, -1, 1] = corner
+    yz = solve_tridiag_stack(d, off, b)
+    if not isinstance(yz, np.ndarray):
+        # a failed row is NaN, so its denominator test fails too
+        yz = np.array([np.full((n, 2), np.nan) if r is None else r for r in yz])
+    y, z = yz[:, :, 0], yz[:, :, 1]
     # v = e0 + (corner/gamma) e_{n-1}
-    vy = y[0] + (corner / gamma) * y[-1]
-    vz = z[0] + (corner / gamma) * z[-1]
-    denom = 1.0 + vz
-    if denom == 0.0 or not np.isfinite(denom):
-        return None
-    out = y - z * (vy / denom)
-    return out if np.all(np.isfinite(out)) else None
+    ratio = corner / gamma
+    vy = y[:, 0] + ratio * y[:, -1]
+    denom = 1.0 + (z[:, 0] + ratio * z[:, -1])
+    solved = (denom != 0.0) & np.isfinite(denom)
+    out = y - z * np.divide(vy, denom, out=np.zeros(m), where=solved)[:, None]
+    solved &= np.isfinite(out).all(axis=1)
+    return [x if ok else None for x, ok in zip(out, solved)]
 
 
 def ldlt_tridiag(d, e):
@@ -271,8 +298,9 @@ class PeriodicProblem:
         return _local(self.model, z + self.dprev(u), z, z + self.dnxt(u), z.shape)
 
     def action_fast(self, u):
+        """The action of one state, or one total per row of a stack."""
         z = self.z(u)
-        return float(np.sum(self.model.eval_h(z, z + self.dnxt(u))))
+        return np.sum(self.model.eval_h(z, z + self.dnxt(u)), axis=-1)
 
     def action_exact(self, u):
         z = self.z(u)
@@ -437,14 +465,21 @@ def _damped_newton(x, free, local, action, solve, fallback, opts):
     return out
 
 
-def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
-    """Damped Newton in displacement coordinates; returns (u, residual_sup, ok)."""
+def newton_periodic_starts(prob: PeriodicProblem, U0, opts: SolveOptions):
+    """newton_periodic_u for every row of U0 at once: one (u, residual_sup, ok) per row.
+
+    The rows share one model evaluation and, at q >= 4, one stacked cyclic
+    solve per iterate; each row's result equals its own newton_periodic_u
+    bit for bit.
+    """
     q = prob.q
 
     def solve(diag, off, rhs):
         if q <= 3:
-            return None
-        return solve_cyclic_tridiag_sym(diag, off[:-1], float(off[-1]), rhs)
+            return None if diag.ndim == 1 else [None] * len(diag)
+        if diag.ndim == 1:
+            return solve_cyclic_tridiag_sym(diag, off[:-1], float(off[-1]), rhs)
+        return solve_cyclic_tridiag_stack(diag, off[:, :-1], off[:, -1], rhs)
 
     def fallback(diag, off, g):
         if q <= 3:
@@ -452,9 +487,13 @@ def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
             return modified_newton_direction(tridiag_dense(diag, off), g)
         return shifted_newton_direction(diag, off[:-1], g, float(off[-1]))
 
-    # one start, so solve and the model only ever see one state
-    return _damped_newton(np.asarray(u0, dtype=float)[None], slice(None), prob.local,
-                          prob.action_fast, solve, fallback, opts)[0]
+    return _damped_newton(np.asarray(U0, dtype=float), slice(None), prob.local,
+                          prob.action_fast, solve, fallback, opts)
+
+
+def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
+    """Damped Newton in displacement coordinates; returns (u, residual_sup, ok)."""
+    return newton_periodic_starts(prob, [u0], opts)[0]
 
 
 def certify_psd_periodic_u(prob: PeriodicProblem, u, shift=1e-8):
@@ -559,18 +598,26 @@ def build_seeds(model, p, q, opts: SolveOptions):
 def solve_all_starts(model, p, q, opts: SolveOptions):
     """Runs every seed to convergence; returns distinct critical points.
 
-    Deduplication is by class_distance within 1e-8, so the PSD certificate
-    runs once per class.
+    At q >= 4 the starts run as one batch (newton_periodic_starts).
+    Deduplication is by class_distance within 1e-8, in start order, so the
+    PSD certificate runs once per class.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if math.gcd(abs(p), q) != 1:
         raise ValueError(f"p/q = {p}/{q} is not in lowest terms")
     prob = PeriodicProblem(model, p, q)
+    seeds = build_seeds(model, p, q, opts)
+    U0 = [prob.from_lift(np.asarray(s0, dtype=float)) for _, s0 in seeds]
+    if q >= 4:
+        solved = newton_periodic_starts(prob, U0, opts)
+    else:
+        # the batch gives the same bytes here too; one newton_periodic_u
+        # per start is kept only because perfbench/test_bypass.py counts
+        # its calls (ROADMAP item 7.4 removes this split)
+        solved = [newton_periodic_u(prob, u0, opts) for u0 in U0]
     found: list[CriticalPoint] = []
-    for label, s0 in build_seeds(model, p, q, opts):
-        u0 = prob.from_lift(np.asarray(s0, dtype=float))
-        u, res, ok = newton_periodic_u(prob, u0, opts)
+    for (label, _), (u, res, ok) in zip(seeds, solved):
         if not ok:
             continue
         lift = prob.to_lift(u)
@@ -625,7 +672,8 @@ def segment_hessian_parts(model, w, lo, hi):
 def solve_tridiag_stack(diag, off, rhs):
     """Per-row solutions of the tridiagonal systems (diag[j], off[j]), None for a failed row.
 
-    One system (1-D diag) is solved as solve_tridiag_sym solves it.  Stacked
+    rhs[j] is one vector or a matrix of right-hand-side columns.  One system
+    (1-D diag) is solved as solve_tridiag_sym solves it.  Stacked
     rows all go through one dgtsv on the block-diagonal stack.  Each block
     ends with a zero coupling to the next, so elimination stays inside its
     block and adds or subtracts only signed zeros across the seam.  When the
@@ -639,9 +687,9 @@ def solve_tridiag_stack(diag, off, rhs):
         couple = np.zeros((m, k))
         couple[:, :-1] = off
         couple = couple.ravel()[:-1]
-        *_, out, info = dgtsv(couple, diag.ravel(), couple, rhs.ravel())
+        *_, out, info = dgtsv(couple, diag.ravel(), couple, rhs.reshape(m * k, -1))
         if info == 0 and np.all(np.isfinite(out)):
-            return out.reshape(m, k)
+            return out.reshape(rhs.shape)
     return [solve_tridiag_sym(d, o, r) for d, o, r in zip(diag, off, rhs)]
 
 

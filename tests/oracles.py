@@ -7,7 +7,7 @@ simple, so the main library can be checked against them.  The last section
 keeps the dense and all-shifts linear-algebra paths that the solver's O(q)
 kernels replaced: dense Cholesky certificates, solve_banded solves, the
 class comparison over every index shift and the canonical shift's tie-break
-on tuples.  The next section keeps the gradient and Hessian parts of both
+on tuples, and the scalar Sherman-Morrison cyclic solve.  The next section keeps the gradient and Hessian parts of both
 problems composed from the model's partials, as the solver composed them
 before its fused local kernels, and the two damped-Newton loops that
 solvers._damped_newton replaced, line for line, on those parts, each with
@@ -227,6 +227,31 @@ def banded_cyclic_solve(diag, off, corner, rhs):
     z = banded_solve(d, off, u)
     if y is None or z is None:
         return None
+    vy = y[0] + (corner / gamma) * y[-1]
+    vz = z[0] + (corner / gamma) * z[-1]
+    denom = 1.0 + vz
+    if denom == 0.0 or not np.isfinite(denom):
+        return None
+    out = y - z * (vy / denom)
+    return out if np.all(np.isfinite(out)) else None
+
+
+def sherman_morrison_solve(diag, off, corner, rhs):
+    """The cyclic solve at n >= 3 as solvers.solve_cyclic_tridiag_sym wrote it
+    before it became the one-row case of the stacked solve: scalar update
+    and correction around one two-column dgtsv."""
+    n = len(diag)
+    gamma = -diag[0] if diag[0] != 0.0 else 1.0
+    d = diag.copy()
+    d[0] -= gamma
+    d[-1] -= corner * corner / gamma
+    u = np.zeros(n)
+    u[0] = gamma
+    u[-1] = corner
+    yz = solvers.solve_tridiag_sym(d, off, np.column_stack((rhs, u)))
+    if yz is None:
+        return None
+    y, z = yz[:, 0], yz[:, 1]
     vy = y[0] + (corner / gamma) * y[-1]
     vz = z[0] + (corner / gamma) * z[-1]
     denom = 1.0 + vz

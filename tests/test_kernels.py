@@ -27,6 +27,7 @@ from oracles import (
     cholesky_psd_segment,
     class_distance_all_shifts,
     dense_tridiag,
+    sherman_morrison_solve,
 )
 
 QS = [1, 2, 3, 4, 5, 13, 200, 233, 1000]
@@ -150,6 +151,31 @@ def test_solves_match_solve_banded(family, q):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
             H = dense_tridiag(diag, off)
             assert np.abs(H @ got - rhs).max() < 1e-8 * np.abs(H).max() * np.abs(got).max()
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+@pytest.mark.parametrize("q", [q for q in QS if q >= 3])
+def test_cyclic_solve_matches_the_scalar_sherman_morrison(family, q):
+    model, p = MODELS[family], P_OF[q]
+    rng = np.random.default_rng(300 + q)
+    for u in configurations(q, seed=q):
+        diag, off = PeriodicProblem(model, p, q).hessian_parts(u)
+        for d in (diag, np.concatenate(([0.0], diag[1:]))):  # gamma = 1 too
+            rhs = rng.standard_normal(q)
+            got = solve_cyclic_tridiag_sym(d, off[:-1], float(off[-1]), rhs)
+            want = sherman_morrison_solve(d, off[:-1], float(off[-1]), rhs)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.tobytes() == want.tobytes()
+    # the singular cyclic Laplacian, whose denominator is 0 at small q: no
+    # division by it
+    lap, lap_off = np.full(q, 2.0), np.full(q - 1, -1.0)
+    with np.errstate(all="raise"):
+        got = solve_cyclic_tridiag_sym(lap, lap_off, -1.0, np.ones(q))
+    want = sherman_morrison_solve(lap, lap_off, -1.0, np.ones(q))
+    assert (got is None) == (want is None) and (q > 13 or want is None)
+    if want is not None:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_singular_solves_fail_like_solve_banded():

@@ -12,15 +12,21 @@ what the loops give after max_iter, on the per-gap solves of the oracle
 loop builder and on the one gap-1 batch of flatness_curve.
 shifted_newton_direction, the fallback both problems share, is checked on
 its edge cases and, in its cyclic form, bit for bit against the inline
-code it replaced.  No start may evaluate the action of one state twice:
+code it replaced.  Each row of a newton_periodic_starts batch must give
+what newton_periodic_u and the loop give, and solve_all_starts the same
+critical points as with one start at a time; the stacked cyclic solve must
+give each row what the lone solve gives, None included, without a warning.
+No start may evaluate the action of one state twice, alone or in a batch:
 the accepted trial's action is the next search's a0.  The loops and pinned
 sweeps that the segment solves build must agree with the former dense
 segment fallback (newton_segment_loop_dense) in loop action and barrier.
 """
 
+import collections
 import contextlib
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import oracles
@@ -99,6 +105,11 @@ def test_periodic_driver_matches_loop(name, q, max_iter, monkeypatch):
         assert dense.n == 0 and (cyclic.n > steps.n or max_iter == 3)
 
 
+def periodic_loops_dense(prob, U0, opts):
+    """newton_periodic_starts with every row run by the dense-fallback loop."""
+    return [newton_periodic_u_loop_dense(prob, u0, opts) for u0 in np.asarray(U0, dtype=float)]
+
+
 def assert_minimizers_match_dense_fallback(text, extra, monkeypatch):
     """best_minimizer against the solve whose fallback is dense for every q <= 200,
     on each rational with 4 <= q <= 200 in the work list of the scan config
@@ -113,6 +124,7 @@ def assert_minimizers_match_dense_fallback(text, extra, monkeypatch):
         assert dense.n == taken
         with monkeypatch.context() as m:
             m.setattr(solvers, "newton_periodic_u", newton_periodic_u_loop_dense)
+            m.setattr(solvers, "newton_periodic_starts", periodic_loops_dense)
             want = solvers.best_minimizer(config.model, p, q, opts)
         assert solvers.class_distance(got.positions, want.positions, q, 1e-8) <= 1e-8
         assert got.psd == want.psd
@@ -298,6 +310,7 @@ class ActionStates:
     def __init__(self):
         self.starts = []
         self.current = None
+        self.stacked = 0  # evaluations of a stack of states
 
     @contextlib.contextmanager
     def start(self):
@@ -311,6 +324,7 @@ class ActionStates:
     def record(self, x):
         if self.current is not None:
             self.current.extend(row.tobytes() for row in np.atleast_2d(x))
+            self.stacked += np.ndim(x) == 2
 
     def assert_each_state_once(self):
         assert sum(map(len, self.starts)) > 0
@@ -318,11 +332,7 @@ class ActionStates:
             assert len(set(states)) == len(states)
 
 
-@pytest.mark.parametrize("q", [4, 13, 233])
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_no_start_evaluates_the_action_of_a_state_twice(name, q, monkeypatch):
-    model, p = MODELS[name], P_OF[q]
-    prob = PeriodicProblem(model, p, q)
+def recording_periodic_actions(monkeypatch):
     seen = ActionStates()
     action_fast = PeriodicProblem.action_fast
 
@@ -331,12 +341,43 @@ def test_no_start_evaluates_the_action_of_a_state_twice(name, q, monkeypatch):
         return action_fast(self, u)
 
     monkeypatch.setattr(PeriodicProblem, "action_fast", recording)
+    return seen
+
+
+@pytest.mark.parametrize("q", [4, 13, 233])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_no_start_evaluates_the_action_of_a_state_twice(name, q, monkeypatch):
+    model, p = MODELS[name], P_OF[q]
+    prob = PeriodicProblem(model, p, q)
+    seen = recording_periodic_actions(monkeypatch)
     for _, seed in build_seeds(model, p, q, SolveOptions(seed=3)):
         u0 = prob.from_lift(seed)
         with seen.start():
             got = solvers.newton_periodic_u(prob, u0, SolveOptions())
         assert_same(got, newton_periodic_u_loop(prob, u0, SolveOptions()))
     seen.assert_each_state_once()
+
+
+@pytest.mark.parametrize("q", [4, 13, 233])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_no_batched_start_evaluates_the_action_of_a_state_twice(name, q, monkeypatch):
+    # the batch evaluates exactly the states its starts evaluate alone, each
+    # once per start (the two anti-integrable seeds may snap to one state)
+    model, p = MODELS[name], P_OF[q]
+    prob = PeriodicProblem(model, p, q)
+    U0 = [prob.from_lift(seed) for _, seed in build_seeds(model, p, q, SolveOptions(seed=3))]
+    seen = recording_periodic_actions(monkeypatch)
+    for u0 in U0:
+        with seen.start():
+            solvers.newton_periodic_u(prob, u0, SolveOptions())
+    seen.assert_each_state_once()
+    alone, seen.starts = seen.starts, []
+    with seen.start():
+        got = solvers.newton_periodic_starts(prob, U0, SolveOptions())
+    for row, u0 in zip(got, U0):
+        assert_same(row, newton_periodic_u_loop(prob, u0, SolveOptions()))
+    assert seen.stacked > 0
+    assert collections.Counter(seen.starts[0]) == collections.Counter(sum(alone, []))
 
 
 def test_no_pinned_start_evaluates_the_action_of_a_state_twice(monkeypatch):
@@ -546,17 +587,140 @@ def test_stacked_tridiagonal_solve_matches_each_block_alone():
     diag = rng.uniform(-3.0, 3.0, (14, 9))
     off = rng.uniform(-1.0, 1.0, (14, 8))
     rhs = rng.standard_normal((14, 9))
+    columns = rng.standard_normal((14, 9, 2))  # two right-hand sides per row
     for singular in (None, 3):
         if singular is not None:
             diag[singular] = 0.0
             off[singular] = 0.0
-        got = solvers.solve_tridiag_stack(diag, off, rhs)
-        for j in range(14):
-            want = solvers.solve_tridiag_sym(diag[j], off[j], rhs[j])
-            if j == singular:
-                assert got[j] is None and want is None
-            else:
-                assert got[j].tobytes() == want.tobytes()
+        for b in (rhs, columns):
+            got = solvers.solve_tridiag_stack(diag, off, b)
+            for j in range(14):
+                want = solvers.solve_tridiag_sym(diag[j], off[j], b[j])
+                if j == singular:
+                    assert got[j] is None and want is None
+                else:
+                    assert got[j].shape == b[j].shape and got[j].tobytes() == want.tobytes()
+
+
+# ---- one batch for the starts of a periodic rational ---------------------------
+
+
+@pytest.mark.parametrize("max_iter", MAX_ITERS)
+@pytest.mark.parametrize("q", sorted(P_OF))
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_periodic_batch_rows_match_single_starts(name, q, max_iter, monkeypatch):
+    model, p = MODELS[name], P_OF[q]
+    opts = SolveOptions(max_iter=max_iter)
+    prob = PeriodicProblem(model, p, q)
+    U0 = np.array([prob.from_lift(seed) for _, seed in build_seeds(model, p, q, opts)])
+    stacked = Calls(monkeypatch, solvers, "solve_cyclic_tridiag_stack")
+    got = solvers.newton_periodic_starts(prob, U0, opts)
+    # q <= 3 tries no structured solve; above, the starts share stacked solves
+    assert any(len(args[0]) > 1 for args in stacked.args) == (q >= 4)
+    assert len(got) == len(U0)
+    for row, u0 in zip(got, U0):
+        assert_same(row, solvers.newton_periodic_u(prob, u0, opts))
+        assert_same(row, newton_periodic_u_loop(prob, u0, opts))
+
+
+def one_start_at_a_time(monkeypatch):
+    """Makes solve_all_starts run each start as its own one-row batch."""
+    batch = solvers.newton_periodic_starts
+    monkeypatch.setattr(solvers, "newton_periodic_starts",
+                        lambda prob, U0, opts: [batch(prob, [u0], opts)[0] for u0 in U0])
+
+
+def assert_same_points(got, want):
+    assert [c.label for c in got] == [c.label for c in want]
+    for c, w in zip(got, want):
+        assert c.positions.tobytes() == w.positions.tobytes()
+        assert (c.action, c.residual_sup, c.psd) == (w.action, w.residual_sup, w.psd)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("source", ["benchmark", "fourier"])
+def test_solve_all_starts_batch_matches_one_start_at_a_time(source, seed, bench, digest_tool,
+                                                             monkeypatch):
+    text = (bench.SCAN_CONFIG.format(seed=seed, workers=1) if source == "benchmark"
+            else digest_tool.FOURIER_SCAN.format(seed=seed))
+    config = scan.parse_scan_config(text)
+    rationals = scan.work_list(config)
+    assert sum(q >= 4 for _, q in rationals) > 20
+    opts = SolveOptions(seed=seed)
+    got = [solvers.solve_all_starts(config.model, p, q, opts) for p, q in rationals]
+    one_start_at_a_time(monkeypatch)
+    for points, (p, q) in zip(got, rationals):
+        assert_same_points(points, solvers.solve_all_starts(config.model, p, q, opts))
+
+
+FLAT_FK = frenkel_kontorova(0.0)
+
+
+@pytest.mark.parametrize("p,q", [(1, 4), (2, 5), (5, 13), (89, 233)])
+def test_flat_fk_batch_does_not_warn(p, q, monkeypatch):
+    # at k = 0 the Hessian is the cyclic Laplacian, whose Sherman-Morrison
+    # denominator is exactly 0: those rows are None and not divided
+    undivided = []
+    stack = solvers.solve_cyclic_tridiag_stack
+
+    def recording(diag, off, corner, rhs):
+        rows = stack(diag, off, corner, rhs)
+        if diag.ndim == 2:
+            undivided.extend(x is None for x in rows)
+        return rows
+
+    monkeypatch.setattr(solvers, "solve_cyclic_tridiag_stack", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solvers.solve_all_starts(FLAT_FK, p, q, SolveOptions())
+    assert any(undivided)
+    one_start_at_a_time(monkeypatch)
+    assert_same_points(got, solvers.solve_all_starts(FLAT_FK, p, q, SolveOptions()))
+
+
+def cyclic_rows(seed, m=5, n=9):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-3.0, 3.0, (m, n)), rng.uniform(-1.0, 1.0, (m, n - 1)),
+            rng.uniform(-1.0, 1.0, m), rng.standard_normal((m, n)))
+
+
+def assert_stacked_cyclic_rows(diag, off, corner, rhs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solvers.solve_cyclic_tridiag_stack(diag, off, corner, rhs)
+        want = [solvers.solve_cyclic_tridiag_sym(*row) for row in zip(diag, off, corner, rhs)]
+    assert len(got) == len(want)
+    for x, w in zip(got, want):
+        assert (x is None) == (w is None)
+        if w is not None:
+            assert x.tobytes() == w.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stacked_cyclic_solve_matches_each_row_alone(seed):
+    assert all(x is not None for x in assert_stacked_cyclic_rows(*cyclic_rows(seed)))
+
+
+def test_stacked_cyclic_solve_leaves_a_zero_denominator_undivided(monkeypatch):
+    # the cyclic Laplacian is singular through its constant mode, and its
+    # Sherman-Morrison denominator is exactly 0; the stacked dgtsv succeeds
+    diag, off, corner, rhs = cyclic_rows(4)
+    diag[2], off[2], corner[2] = 2.0, -1.0, -1.0
+    alone = Calls(monkeypatch, solvers, "solve_cyclic_tridiag_sym")
+    got = assert_stacked_cyclic_rows(diag, off, corner, rhs)
+    assert [x is None for x in got] == [False, False, True, False, False]
+    assert alone.n == len(diag)  # only the reference solves
+
+
+def test_stacked_cyclic_solve_falls_back_to_each_row_alone(monkeypatch):
+    # a zero pivot in row 1 fails the stacked dgtsv: every modified block is
+    # solved alone, once for the stack and once for its row's reference
+    diag, off, corner, rhs = cyclic_rows(5)
+    diag[1], off[1] = [1.0, 0.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], 0.0
+    alone = Calls(monkeypatch, solvers, "solve_tridiag_sym")
+    got = assert_stacked_cyclic_rows(diag, off, corner, rhs)
+    assert got[1] is None and alone.n == 2 * len(diag)
 
 
 # ---- the shifted fallback of both problems ----------------------------------
