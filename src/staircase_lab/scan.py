@@ -6,14 +6,14 @@ evaluates truncated variation/Hausdorff estimators, and runs any requested
 flatness curves and KAM-regime probes.  Results land in a fixed set of CSV
 files plus a canonical report.json.
 
-With workers > 1, every solve that no earlier result decides (work_list) runs
-first in a process pool; the results stay in memory and the serial pass,
-which is the whole scan at workers = 1, takes them on its cache misses
-instead of solving.  Only the adaptive refinement of a flatness slope and
-the one configuration a flatness curve builds its loops on are solved in the
-serial pass.  With a fixed seed two runs produce byte-identical
-artifacts and cache records at any worker count, and a warm cache changes
-nothing but the wall time.
+Every solve that no earlier result decides (work_list) and that has no cache
+record runs first (pool_solves): in a process pool with workers > 1, as one
+Newton stack with workers = 1.  The results stay in memory and the serial
+pass takes them on its cache misses instead of solving.  Only the adaptive
+refinement of a flatness slope and the one configuration a flatness curve
+builds its loops on are solved in the serial pass.  With a fixed seed two
+runs produce byte-identical artifacts and cache records at any worker count,
+and a warm cache changes nothing but the wall time.
 
 This module alone knows the stage order: grid (grid_table), window
 (cohomology_window), locking, estimators, staircase (staircase_stage),
@@ -56,7 +56,7 @@ from .staircase import (
     shifted_rational,
     variation_estimator,
 )
-from .variational import minimize_periodic
+from .variational import minimize_periodic, minimize_periodic_many
 
 _SCAN_KEYS = {
     "q_max",
@@ -351,21 +351,23 @@ def work_list(config: ScanConfig) -> list[tuple[int, int]]:
 
 
 def pool_solves(config: ScanConfig, cache: BetaCache | None, rationals) -> dict:
-    """Solves the rationals without a cache record in a process pool.
+    """Solves the rationals without a cache record ahead of the serial pass.
 
     Returns {(p, q): configuration or typed error} for BetaTable.bind(...,
-    pooled=...), or {} with workers = 1.  Nothing is written here: the serial
-    pass takes each result on its cache miss and writes it as it would a solve
-    of its own, so the cache holds the same records at any worker count, and a
-    rational that failed in the pool re-raises its error instead of being
-    solved again.
+    pooled=...).  With workers > 1 a process pool solves one rational per
+    task; with workers = 1 one Newton stack solves them all
+    (minimize_periodic_many).  Nothing is written here: the serial pass takes
+    each result on its cache miss and writes it as it would a solve of its
+    own, so the cache holds the same records at any worker count, and a
+    rational that failed here re-raises its error instead of being solved
+    again.
     """
-    if config.workers < 2:
-        return {}
     todo = [(p, q) for p, q in rationals
             if cache is None or not cache.record_path(config.model.model_hash, p, q).exists()]
     if len(todo) < 2:
         return {}
+    if config.workers < 2:
+        return minimize_periodic_many(config.model, todo, config.options)
     todo.sort(key=lambda r: -r[1])  # long periods first, to even out the workers
     pooled = {}
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -472,8 +474,8 @@ def fill_table(table: BetaTable, config: ScanConfig, tasks, failures) -> None:
 
 
 def grid_table(config: ScanConfig, cache: BetaCache | None, rationals):
-    """(table, failures) after the twist check, the pool solves of the
-    rationals (workers > 1) and fill_table over scan_rationals."""
+    """(table, failures) after the twist check, pool_solves of the rationals
+    and fill_table over scan_rationals."""
     config.model.check_twist()
     pooled = pool_solves(config, cache, rationals)
     table = BetaTable.bind(config.model, config.h_lo, config.h_hi, cache=cache,

@@ -13,14 +13,15 @@ differs between the problems:
   cyclic solve of shifted_newton_direction, O(q), except at q <= 3, where the
   couplings fold onto at most a 3x3 matrix: the dense eigenvalue-clipped step.
   newton_periodic_starts runs many starts of one problem together;
-  solve_all_starts runs its starts that way at q >= 4.
+  solve_all_starts runs its starts that way at q >= 4, and
+  solve_all_starts_many runs the starts of many rationals as one stack.
 - newton_segment: interior sites of a segment with clamped ends.  The
   Hessian is tridiagonal (dgtsv), the fallback the same shifted solve on the
   open chain.  newton_segment_starts runs many starts of one problem together.
 
 Each start is one coroutine, _newton_start: the plain damped Newton loop on
 its own state, which yields whenever it needs an evaluation and receives the
-value.  There are three request kinds:
+value.  There are four request kinds:
 
 - _LOCAL: the gradient and the Hessian parts (diag, off) at a state, from
   one model pass (PeriodicProblem.local, segment_local): one reduction and
@@ -28,6 +29,8 @@ value.  There are three request kinds:
   sums run in the order of d2h + d1h and d11h + d22h, so every value is
   bitwise what the separate partials give.
 - _STEP: the structured Newton step on those parts, nothing else.
+- _FALLBACK: the fallback direction on those parts, when the step is
+  missing, not a descent direction, or exploding.
 - _ACTION: the action at a state, for the Armijo search.
 
 A start keeps the action of its accepted trial as the next iterate's a0
@@ -36,32 +39,39 @@ depends only on the state's bytes, and a stacked row's total equals the
 lone one, so the carried value is the one a fresh request would return.
 
 _damped_newton runs a stack of starts together and answers each round of
-requests with one evaluation on the stacked states (or, for _STEP, the
-stacked parts); a lone request is answered as it is, without stacking.
-Each start gets exactly what it would get alone, bit for bit:
+requests with one evaluation on the stacked states or parts; a lone request
+is answered as it is, without stacking.  A stack's rows may belong to
+different periodic problems of one model (PeriodicStack: rows of many
+lengths end to end, with their bounds), and then every evaluation works on
+the rows end to end.  Each start gets exactly what it would get alone, bit
+for bit:
 
-- The model kernels are elementwise, and an action total is a sum over the
-  last axis, the same pairwise summation per row as for one row alone.
+- The model kernels are elementwise, and an action total is the pairwise
+  sum of the row's own terms: a sum over the last axis of the rows of one q,
+  the same as for one row alone.
 - All tridiagonal blocks of a round go through one dgtsv on the
   block-diagonal stack.  The zero coupling between blocks keeps elimination
   inside each block; it adds or subtracts only signed zeros across the
   seam.  When the stacked solve fails or returns a non-finite entry (which
   0 * inf would spread to the next block), every row is solved alone.
-- The cyclic solve of a periodic round (solve_cyclic_tridiag_stack) is that
-  stacked solve on the Sherman-Morrison-modified blocks, with two
-  right-hand-side columns, each block's step and its vector
+- The cyclic solve (solve_cyclic_tridiag_stack) takes rows of any length
+  >= 3 end to end: that stacked solve on the Sherman-Morrison-modified
+  blocks, with two right-hand-side columns, each block's step and its vector
   gamma*e0 + corner*e_{q-1}, and then each row's own rank-one correction.
-  The lone cyclic solve (q >= 3) is its one-row case, so the update is
-  written once.  A row whose denominator is 0 or non-finite gets no step,
-  undivided.
-- Everything else (slopes, step checks, fallback, steepest-descent guard,
-  Armijo step lengths) is the start's own arithmetic on its own arrays;
-  per-row dot products stay BLAS ddot, whose rounding a row-wise einsum or
-  sum would not reproduce.
+  The lone and same-q solves are cases of it, so the update is written once.
+  A row whose denominator is 0 or non-finite gets no step, undivided.
+- The shifted fallback of a round (shifted_newton_directions) takes each
+  row's Gershgorin shift from minimum/maximum.reduceat, which are exact,
+  makes one stacked shifted solve, and tests each row's descent with its
+  own BLAS ddot.
+- Everything else (slopes, step checks, steepest-descent guard, Armijo step
+  lengths) is the start's own arithmetic on its own arrays; per-row dot
+  products stay BLAS ddot, whose rounding a row-wise einsum or sum would not
+  reproduce.
 
-Searches are answered before steps and steps before local kernels, so the
-starts stay in step: every active start asks for its next local kernel in
-the same round.
+Fallbacks are answered before searches, searches before steps and steps
+before local kernels, so the starts stay in step: every active start asks
+for its next local kernel in the same round.
 
 One iterate maps a start's state to the next and depends on nothing else
 (a carried action is that state's own), so once a state repeats bit for
@@ -156,6 +166,43 @@ def solve_tridiag_sym(diag, off, rhs):
     return out if np.all(np.isfinite(out)) else None
 
 
+def _solve_blocks(diag, couple, rhs, bounds):
+    """Solutions of the block-diagonal tridiagonal system (diag, couple) for rhs.
+
+    Block j holds the rows bounds[j]:bounds[j+1], couple[i] couples rows i
+    and i+1 and is zero between blocks, and rhs is one column or several.
+    Several blocks, unless every one is a single row, go through one dgtsv
+    on the whole stack: the zero coupling keeps elimination inside each block and adds or
+    subtracts only signed zeros across the seam.  Returns that solution, or,
+    when the stacked solve fails or returns a non-finite entry (which 0 * inf
+    would spread to the next block), a list with each block solved alone
+    (solve_tridiag_sym): its solution or None.
+    """
+    if len(bounds) > 2 and len(diag) > len(bounds) - 1:
+        *_, out, info = dgtsv(couple, diag, couple, rhs)
+        if info == 0 and np.all(np.isfinite(out)):
+            return out
+    return [solve_tridiag_sym(diag[a:b], couple[a : b - 1], rhs[a:b])
+            for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def solve_tridiag_stack(diag, off, rhs):
+    """Per-row solutions of the tridiagonal systems (diag[j], off[j]), None for a failed row.
+
+    rhs[j] is one vector or a matrix of right-hand-side columns.  One system
+    (1-D diag) is solved as solve_tridiag_sym solves it; stacked rows go
+    through _solve_blocks on the block-diagonal stack.
+    """
+    if diag.ndim == 1:
+        return solve_tridiag_sym(diag, off, rhs)
+    m, k = diag.shape
+    couple = np.zeros((m, k))
+    couple[:, :-1] = off
+    out = _solve_blocks(diag.ravel(), couple.ravel()[:-1], rhs.reshape((m * k,) + rhs.shape[2:]),
+                        np.arange(0, m * k + 1, k))
+    return out.reshape(rhs.shape) if isinstance(out, np.ndarray) else out
+
+
 def solve_cyclic_tridiag_sym(diag, off, corner, rhs):
     """Solve (tridiag + symmetric corner) via a rank-one Sherman-Morrison update.
 
@@ -169,42 +216,48 @@ def solve_cyclic_tridiag_sym(diag, off, corner, rhs):
         except np.linalg.LinAlgError:
             return None
         return out if np.all(np.isfinite(out)) else None
-    return solve_cyclic_tridiag_stack(diag[None], np.asarray(off)[None],
-                                      np.array([corner], dtype=float), rhs[None])[0]
+    return solve_cyclic_tridiag_stack(diag, np.append(off, corner), np.array([0, n]), rhs)[0]
 
 
-def solve_cyclic_tridiag_stack(diag, off, corner, rhs):
-    """Per-row solutions of the cyclic systems (diag[j], off[j], corner[j]), None for a failed row.
+def solve_cyclic_tridiag_stack(diag, off, bounds, rhs):
+    """Per-row solutions of the cyclic systems stacked in (diag, off), None for a failed row.
 
-    Each row has n >= 3 sites.  The rank-one Sherman-Morrison update moves
-    the corner into gamma*e0 + corner*e_{n-1}; the modified tridiagonal
-    blocks are solved for each row's rhs and that vector as two columns
-    (solve_tridiag_stack), and each row gets its own correction.  A row
-    whose modified solve or denominator fails is None, undivided.
+    Row j holds the sites bounds[j]:bounds[j+1], at least three; off[i]
+    couples sites i and i+1 of a row, and a row's last entry of off is its
+    corner, coupling its last site and its first.  The rank-one
+    Sherman-Morrison update moves each corner into gamma*e0 + corner*e_{n-1};
+    the modified blocks are solved for rhs and that vector as two columns
+    (_solve_blocks), and each row gets its own correction.  A row whose
+    modified solve or denominator fails is None, undivided.
     """
-    m, n = diag.shape
-    gamma = -diag[:, 0]
+    first, last = bounds[:-1], bounds[1:] - 1
+    corner = off[last]
+    gamma = -diag[first]
     gamma[gamma == 0.0] = 1.0
     d = diag.copy()
-    d[:, 0] -= gamma
-    d[:, -1] -= corner * corner / gamma
-    b = np.zeros((m, n, 2))
-    b[:, :, 0] = rhs
-    b[:, 0, 1] = gamma
-    b[:, -1, 1] = corner
-    yz = solve_tridiag_stack(d, off, b)
+    d[first] -= gamma
+    d[last] -= corner * corner / gamma
+    couple = off.copy()
+    couple[last] = 0.0
+    b = np.zeros((len(diag), 2))
+    b[:, 0] = rhs
+    b[first, 1] = gamma
+    b[last, 1] = corner
+    yz = _solve_blocks(d, couple[:-1], b, bounds)
     if not isinstance(yz, np.ndarray):
         # a failed row is NaN, so its denominator test fails too
-        yz = np.array([np.full((n, 2), np.nan) if r is None else r for r in yz])
-    y, z = yz[:, :, 0], yz[:, :, 1]
+        yz = np.concatenate([np.full((hi - lo, 2), np.nan) if r is None else r
+                             for lo, hi, r in zip(first, bounds[1:], yz)])
+    y, z = yz[:, 0], yz[:, 1]
     # v = e0 + (corner/gamma) e_{n-1}
     ratio = corner / gamma
-    vy = y[:, 0] + ratio * y[:, -1]
-    denom = 1.0 + (z[:, 0] + ratio * z[:, -1])
+    vy = y[first] + ratio * y[last]
+    denom = 1.0 + (z[first] + ratio * z[last])
     solved = (denom != 0.0) & np.isfinite(denom)
-    out = y - z * np.divide(vy, denom, out=np.zeros(m), where=solved)[:, None]
-    solved &= np.isfinite(out).all(axis=1)
-    return [x if ok else None for x, ok in zip(out, solved)]
+    scale = np.divide(vy, denom, out=np.zeros(len(first)), where=solved)
+    out = y - z * np.repeat(scale, np.diff(bounds))
+    solved &= np.logical_and.reduceat(np.isfinite(out), first)
+    return [out[lo:hi] if ok else None for lo, hi, ok in zip(first, bounds[1:], solved)]
 
 
 def ldlt_tridiag(d, e):
@@ -235,15 +288,46 @@ def modified_newton_direction(H, g):
 def shifted_newton_direction(diag, off, g, corner=None):
     """Descent direction s from (H + mu*I) s = -g, O(n); -g if that solve fails.
 
-    H is the tridiagonal (diag, off), cyclic when corner couples 0 and n-1.
-    The Gershgorin shift mu makes H + mu*I strictly diagonally dominant.
+    H is the tridiagonal (diag, off), cyclic when corner couples 0 and n-1
+    (n >= 3).  The Gershgorin shift mu makes H + mu*I strictly diagonally
+    dominant.  This is the one-row case of shifted_newton_directions.
     """
-    a = np.abs(np.append(off, 0.0 if corner is None else corner))  # a[i] couples i, i+1
-    radius = a + a[np.arange(len(a)) - 1]
-    mu = max(0.0, -float((diag - radius).min())) + 1e-3 * max(1.0, float(np.abs(diag).max()))
-    s = (solve_tridiag_sym(diag + mu, off, -g) if corner is None
-         else solve_cyclic_tridiag_sym(diag + mu, off, corner, -g))
-    return -g if s is None or float(np.dot(g, s)) >= 0.0 else s
+    return shifted_newton_directions(diag, np.append(off, 0.0 if corner is None else corner), g,
+                                     np.array([0, len(diag)]), corner is not None)[0]
+
+
+def shifted_newton_directions(diag, off, g, bounds, cyclic):
+    """The shifted Newton direction of each row stacked in (diag, off, g), one per row.
+
+    Row j holds the sites bounds[j]:bounds[j+1]; off[i] couples sites i and
+    i+1 of a row, and a row's last entry of off couples its last site and its
+    first: the corner when cyclic, 0 on an open chain.  Row j's shift is
+    mu = max(0, -min(diag - radius)) + 1e-3 * max(1, max|diag|) over its own
+    sites (reduceat, which is exact; fmax skips a NaN), which makes H + mu*I
+    strictly diagonally dominant.  The shifted rows go through one stacked
+    solve, and each row's descent test is its own BLAS ddot, so every row
+    gets what it gets alone, bit for bit; a row whose solve fails or does
+    not descend gets -g.
+    """
+    first, last = bounds[:-1], bounds[1:] - 1
+    a = np.abs(off)  # a[i] couples i, i+1
+    prv = np.arange(-1, len(a) - 1)
+    prv[first] = last
+    radius = a + a[prv]
+    mu = (np.fmax(0.0, -np.minimum.reduceat(diag - radius, first))
+          + 1e-3 * np.fmax(1.0, np.maximum.reduceat(np.abs(diag), first)))
+    shifted = diag + np.repeat(mu, np.diff(bounds))
+    if cyclic:
+        steps = solve_cyclic_tridiag_stack(shifted, off, bounds, -g)
+    else:
+        steps = _solve_blocks(shifted, off[:-1], -g, bounds)
+        if isinstance(steps, np.ndarray):
+            steps = [steps[lo:hi] for lo, hi in zip(first, bounds[1:])]
+    out = []
+    for lo, hi, s in zip(first, bounds[1:], steps):
+        gj = g[lo:hi]
+        out.append(-gj if s is None or float(np.dot(gj, s)) >= 0.0 else s)
+    return out
 
 
 # ---- local kernels ------------------------------------------------------------
@@ -345,20 +429,68 @@ def periodic_hessian_dense(model, x, p, q):
     return tridiag_dense(*prob.hessian_parts(prob.from_lift(x)))
 
 
+class PeriodicStack:
+    """The states of several periodic problems of one model, end to end in one vector.
+
+    Row j holds the sites bounds[j]:bounds[j+1], a state of probs[j]; the
+    neighbour indices wrap inside each row, and z, dnxt, dprev and local act
+    on the whole vector as PeriodicProblem's act on one state.  action_fast
+    sums each run of adjacent rows of one q as one (rows, q) block: the
+    pairwise sum of each row, as for the row alone (np.add.reduceat would sum
+    each row in sequence, which rounds differently).  So rows of one q
+    belong together.
+    """
+
+    z = PeriodicProblem.z
+    dnxt = PeriodicProblem.dnxt
+    dprev = PeriodicProblem.dprev
+    local = PeriodicProblem.local
+
+    def __init__(self, probs):
+        qs = [prob.q for prob in probs]
+        self.model = probs[0].model
+        self.bounds = np.cumsum([0] + qs)
+        first, last = self.bounds[:-1], self.bounds[1:] - 1
+        n = int(self.bounds[-1])
+        self.frac = np.concatenate([prob.frac for prob in probs])
+        self.rat = np.repeat([prob.rat for prob in probs], qs)
+        self._nxt = np.arange(1, n + 1)
+        self._nxt[last] = first
+        self._prv = np.arange(-1, n - 1)
+        self._prv[first] = last
+        # (first site, end site, q) of each run of rows with one q
+        qs = np.array(qs)
+        runs = np.flatnonzero(np.diff(qs, prepend=0, append=0))
+        self._runs = list(zip(self.bounds[runs[:-1]].tolist(), self.bounds[runs[1:]].tolist(),
+                              qs[runs[:-1]].tolist()))
+
+    def rows(self, v):
+        """The row slices of a stacked vector."""
+        b = self.bounds.tolist()
+        return [v[lo:hi] for lo, hi in zip(b[:-1], b[1:])]
+
+    def action_fast(self, u):
+        """One action total per row."""
+        z = self.z(u)
+        terms = self.model.eval_h(z, z + self.dnxt(u))
+        return np.concatenate([terms[lo:hi].reshape(-1, q).sum(axis=-1)
+                               for lo, hi, q in self._runs])
+
+
 # evaluation requests of _newton_start, in the order the batch serves them
-_ACTION, _STEP, _LOCAL = range(3)
+_FALLBACK, _ACTION, _STEP, _LOCAL = range(4)
 
 
-def _newton_start(x, free, fallback, opts):
+def _newton_start(x, free, opts):
     """One start of the damped Newton iteration, as a coroutine on its state x.
 
     It yields the evaluations it needs and receives their values:
     (_LOCAL, x) -> (g, diag, off), the gradient and the Hessian parts;
     (_STEP, (diag, off, g)) -> the structured Newton step for -g or None;
-    (_ACTION, x) -> float.  fallback(diag, off, g) replaces a step that is
-    missing, not a descent direction, or exploding.  The action of an
-    accepted trial is the next iterate's a0; a full step drops it.  Returns
-    (x, residual_sup, ok).
+    (_FALLBACK, (diag, off, g)) -> the direction that replaces a step that is
+    missing, not a descent direction, or exploding; (_ACTION, x) -> float.
+    The action of an accepted trial is the next iterate's a0; a full step
+    drops it.  Returns (x, residual_sup, ok).
     """
     target = 0.25 * opts.tol  # margin so re-evaluation stays under tol
     seen = None  # state bytes -> iterate, from the first full step on
@@ -384,7 +516,7 @@ def _newton_start(x, free, fallback, opts):
             seen, states, resids = {key: it}, [key], [res]
         s = yield _STEP, (diag, off, g)
         if s is None or float(np.dot(g, s)) >= 0.0 or np.abs(s).max() > 1e8 * (1.0 + np.abs(x).max()):
-            s = fallback(diag, off, g)
+            s = yield _FALLBACK, (diag, off, g)
         slope = float(np.dot(g, s))
         if slope >= 0.0:
             s = -g
@@ -410,52 +542,38 @@ def _newton_start(x, free, fallback, opts):
     return x, res, res < opts.tol
 
 
-def _damped_newton(x, free, local, action, solve, fallback, opts):
-    """Damped Newton with Armijo backtracking on the sites [:, free] of each row of x.
+def _damped_newton(x, free, rows, opts):
+    """Damped Newton with Armijo backtracking on the sites [free] of each row of x.
 
-    Each row of the (m, n) stack x is one start (_newton_start), and the
-    starts advance together: each evaluation they ask for in the same round
-    is made once, on their states or parts stacked, and a lone request is
-    answered as it is.  local and action take one state (n,) or a stack
-    (m, n), and cover only the free sites: local(x) -> (g, diag, off) is the
-    gradient with the structured second variation.  solve(diag, off, rhs)
-    returns the Newton step (None on failure) of one state's parts, or one
-    step or None per row of stacked parts; it sees stacks only when several
-    starts ask together.  Returns one (x, residual_sup, ok) per row.
+    Each row of x is one start (_newton_start), and the starts advance
+    together: the evaluations they ask for in the same round are made once,
+    by rows.many(kind, batch, args) on the starts in batch and their
+    arguments, stacked, which returns one value per start.  A lone request
+    is answered by rows.one(kind, i, arg) as it is.  The gradient and the
+    Hessian parts cover only the free sites.  Returns one (x, residual_sup,
+    ok) per row.
     """
-    def evaluate(kind, arg):
-        if kind == _LOCAL:
-            return local(arg)
-        if kind == _ACTION:
-            return float(action(arg))
-        diag, off, g = arg
-        return solve(diag, off, -g)
-
-    starts = [_newton_start(np.array(row, dtype=float), free, fallback, opts) for row in x]
+    starts = [_newton_start(np.array(row, dtype=float), free, opts) for row in x]
     if len(starts) == 1:
         # nothing to batch: each request is answered as it comes
         start, = starts
         request = next(start)
         try:
             while True:
-                request = start.send(evaluate(*request))
+                request = start.send(rows.one(request[0], 0, request[1]))
         except StopIteration as stop:
             return [stop.value]
     out = [None] * len(starts)
     requests = {i: next(start) for i, start in enumerate(starts)}
     while requests:
-        # searches first, so that every start asks for its next local
-        # kernel in the same round
+        # fallbacks, then searches, so that every start asks for its next
+        # local kernel in the same round
         kind = min(request[0] for request in requests.values())
         batch = [i for i, request in requests.items() if request[0] == kind]
         if len(batch) == 1:
-            values = [evaluate(*requests[batch[0]])]
-        elif kind == _STEP:
-            diag, off, g = (np.array(parts) for parts in zip(*(requests[i][1] for i in batch)))
-            values = solve(diag, off, -g)
+            values = [rows.one(kind, batch[0], requests[batch[0]][1])]
         else:
-            states = np.array([requests[i][1] for i in batch])
-            values = zip(*local(states)) if kind == _LOCAL else action(states).tolist()
+            values = rows.many(kind, batch, [requests[i][1] for i in batch])
         for i, value in zip(batch, values):
             try:
                 requests[i] = starts[i].send(value)
@@ -465,6 +583,52 @@ def _damped_newton(x, free, local, action, solve, fallback, opts):
     return out
 
 
+class _PeriodicRows:
+    """The evaluations of periodic starts: row i is a start of probs[i].
+
+    The rows of one problem are adjacent, and so are the rows of one q.  A
+    round of one problem's starts is its (m, q) stack; a round that mixes
+    problems is a PeriodicStack.  Both give each row what it gets alone.  At
+    q <= 3 there is no structured step, and the fallback is the dense
+    eigenvalue-clipped one: the couplings fold onto at most a 3x3 matrix.
+    """
+
+    def __init__(self, probs):
+        self.probs = probs
+
+    def one(self, kind, i, arg):
+        prob = self.probs[i]
+        if kind == _LOCAL:
+            return prob.local(arg)
+        if kind == _ACTION:
+            return float(prob.action_fast(arg))
+        diag, off, g = arg
+        if prob.q <= 3:
+            return None if kind == _STEP else modified_newton_direction(tridiag_dense(diag, off), g)
+        if kind == _STEP:
+            return solve_cyclic_tridiag_sym(diag, off[:-1], float(off[-1]), -g)
+        return shifted_newton_direction(diag, off[:-1], g, float(off[-1]))
+
+    def many(self, kind, batch, args):
+        probs = self.probs
+        if kind == _LOCAL or kind == _ACTION:
+            if probs[batch[0]] is probs[batch[-1]]:
+                prob, u = probs[batch[0]], np.array(args)
+                return zip(*prob.local(u)) if kind == _LOCAL else prob.action_fast(u).tolist()
+            stack = PeriodicStack([probs[i] for i in batch])
+            u = np.concatenate(args)
+            if kind == _ACTION:
+                return stack.action_fast(u).tolist()
+            return zip(*(stack.rows(v) for v in stack.local(u)))
+        if probs[batch[0]].q <= 3:
+            return [self.one(kind, i, arg) for i, arg in zip(batch, args)]
+        diag, off, g = (np.concatenate(parts) for parts in zip(*args))
+        bounds = np.cumsum([0] + [probs[i].q for i in batch])
+        if kind == _STEP:
+            return solve_cyclic_tridiag_stack(diag, off, bounds, -g)
+        return shifted_newton_directions(diag, off, g, bounds, cyclic=True)
+
+
 def newton_periodic_starts(prob: PeriodicProblem, U0, opts: SolveOptions):
     """newton_periodic_u for every row of U0 at once: one (u, residual_sup, ok) per row.
 
@@ -472,23 +636,7 @@ def newton_periodic_starts(prob: PeriodicProblem, U0, opts: SolveOptions):
     solve per iterate; each row's result equals its own newton_periodic_u
     bit for bit.
     """
-    q = prob.q
-
-    def solve(diag, off, rhs):
-        if q <= 3:
-            return None if diag.ndim == 1 else [None] * len(diag)
-        if diag.ndim == 1:
-            return solve_cyclic_tridiag_sym(diag, off[:-1], float(off[-1]), rhs)
-        return solve_cyclic_tridiag_stack(diag, off[:, :-1], off[:, -1], rhs)
-
-    def fallback(diag, off, g):
-        if q <= 3:
-            # the couplings fold onto at most a 3x3 matrix
-            return modified_newton_direction(tridiag_dense(diag, off), g)
-        return shifted_newton_direction(diag, off[:-1], g, float(off[-1]))
-
-    return _damped_newton(np.asarray(U0, dtype=float), slice(None), prob.local,
-                          prob.action_fast, solve, fallback, opts)
+    return _damped_newton(U0, slice(None), _PeriodicRows([prob] * len(U0)), opts)
 
 
 def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
@@ -595,33 +743,49 @@ def build_seeds(model, p, q, opts: SolveOptions):
     return seeds
 
 
-def solve_all_starts(model, p, q, opts: SolveOptions):
-    """Runs every seed to convergence; returns distinct critical points.
-
-    At q >= 4 the starts run as one batch (newton_periodic_starts).
-    Deduplication is by class_distance within 1e-8, in start order, so the
-    PSD certificate runs once per class.
-    """
+def _starts(model, p, q, opts: SolveOptions):
+    """(prob, labels, U0): the problem of p/q and the label and displacement
+    state of each seed, without a seed whose state has the bytes of an
+    earlier one's: that start would only repeat the earlier start, whose
+    class dedup drops the copy's result."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if math.gcd(abs(p), q) != 1:
         raise ValueError(f"p/q = {p}/{q} is not in lowest terms")
     prob = PeriodicProblem(model, p, q)
-    seeds = build_seeds(model, p, q, opts)
-    U0 = [prob.from_lift(np.asarray(s0, dtype=float)) for _, s0 in seeds]
-    if q >= 4:
-        solved = newton_periodic_starts(prob, U0, opts)
-    else:
-        # the batch gives the same bytes here too; one newton_periodic_u
-        # per start is kept only because perfbench/test_bypass.py counts
-        # its calls (ROADMAP item 7.4 removes this split)
-        solved = [newton_periodic_u(prob, u0, opts) for u0 in U0]
+    labels, U0, seen = [], [], set()
+    for label, s0 in build_seeds(model, p, q, opts):
+        u0 = prob.from_lift(np.asarray(s0, dtype=float))
+        key = u0.tobytes()
+        if key not in seen:
+            seen.add(key)
+            labels.append(label)
+            U0.append(u0)
+    return prob, labels, U0
+
+
+def _solve_starts(prob: PeriodicProblem, U0, opts: SolveOptions):
+    """The starts of one problem: one batch at q >= 4, one newton_periodic_u
+    per start below (the batch gives the same bytes there too; this split is
+    kept only because perfbench/test_bypass.py counts newton_periodic_u
+    calls, and ROADMAP item 7.4 removes it)."""
+    if prob.q >= 4:
+        return newton_periodic_starts(prob, U0, opts)
+    return [newton_periodic_u(prob, u0, opts) for u0 in U0]
+
+
+def _critical_points(prob: PeriodicProblem, labels, solved, opts: SolveOptions):
+    """The distinct critical points of the converged starts, by action.
+
+    Deduplication is by class_distance within 1e-8, in start order, so the
+    PSD certificate runs once per class.
+    """
     found: list[CriticalPoint] = []
-    for (label, _), (u, res, ok) in zip(seeds, solved):
+    for label, (u, res, ok) in zip(labels, solved):
         if not ok:
             continue
         lift = prob.to_lift(u)
-        if any(class_distance(lift, c.positions, q, 1e-8) <= 1e-8 for c in found):
+        if any(class_distance(lift, c.positions, prob.q, 1e-8) <= 1e-8 for c in found):
             continue
         psd = certify_psd_periodic_u(prob, u, opts.psd_shift)
         found.append(
@@ -636,8 +800,46 @@ def solve_all_starts(model, p, q, opts: SolveOptions):
     return sorted(found, key=lambda c: (c.action, tuple(c.positions)))
 
 
-def best_minimizer(model, p, q, opts: SolveOptions) -> CriticalPoint:
-    points = solve_all_starts(model, p, q, opts)
+def solve_all_starts(model, p, q, opts: SolveOptions):
+    """Runs every distinct seed to convergence; returns distinct critical points.
+
+    At q >= 4 the starts run as one batch (newton_periodic_starts).
+    """
+    prob, labels, U0 = _starts(model, p, q, opts)
+    return _critical_points(prob, labels, _solve_starts(prob, U0, opts), opts)
+
+
+# q from which a rational's starts stay in a stack of their own: longer rows
+# are compute-bound, and a bigger stack would only hold more memory
+_STACK_Q = 100
+
+
+def solve_all_starts_many(model, rationals, opts: SolveOptions):
+    """solve_all_starts of each rational (p, q): one list of critical points per rational.
+
+    The starts of every rational with 4 <= q < _STACK_Q run as one stack
+    (_PeriodicRows), so each round pays numpy's call overhead once for all of
+    them: one model pass, one cyclic solve and one shifted fallback over
+    rows of many lengths.  The other rationals run as solve_all_starts runs
+    them.  Every list is bit for bit what solve_all_starts returns.
+    """
+    starts = [_starts(model, p, q, opts) for p, q in rationals]
+    stacked = sorted((j for j, (prob, _, _) in enumerate(starts) if 4 <= prob.q < _STACK_Q),
+                     key=lambda j: starts[j][0].q)
+    probs = [starts[j][0] for j in stacked for _ in starts[j][2]]
+    rows = iter(_damped_newton([u0 for j in stacked for u0 in starts[j][2]], slice(None),
+                               _PeriodicRows(probs), opts))
+    solved = {j: [next(rows) for _ in starts[j][2]] for j in stacked}
+    return [_critical_points(prob, labels,
+                             solved[j] if j in solved else _solve_starts(prob, U0, opts), opts)
+            for j, (prob, labels, U0) in enumerate(starts)]
+
+
+def best_minimizer(model, p, q, opts: SolveOptions, points=None) -> CriticalPoint:
+    """The least-action certified minimum among points, the critical points of
+    p/q (solve_all_starts unless given)."""
+    if points is None:
+        points = solve_all_starts(model, p, q, opts)
     if not points:
         raise NoConvergence(f"no start converged for p/q = {p}/{q}")
     minima = [c for c in points if c.psd]
@@ -669,28 +871,35 @@ def segment_hessian_parts(model, w, lo, hi):
     return segment_local(model, w, lo, hi)[1:]
 
 
-def solve_tridiag_stack(diag, off, rhs):
-    """Per-row solutions of the tridiagonal systems (diag[j], off[j]), None for a failed row.
+class _SegmentRows:
+    """The evaluations of clamped-segment starts: rows of one length, free sites [lo, hi)."""
 
-    rhs[j] is one vector or a matrix of right-hand-side columns.  One system
-    (1-D diag) is solved as solve_tridiag_sym solves it.  Stacked
-    rows all go through one dgtsv on the block-diagonal stack.  Each block
-    ends with a zero coupling to the next, so elimination stays inside its
-    block and adds or subtracts only signed zeros across the seam.  When the
-    stacked solve fails or any entry is non-finite (0 * inf would poison the
-    neighbouring block), every row is solved alone.
-    """
-    if diag.ndim == 1:
-        return solve_tridiag_sym(diag, off, rhs)
-    m, k = diag.shape
-    if m > 1 and k > 1:
-        couple = np.zeros((m, k))
+    def __init__(self, model, lo, hi):
+        self.model, self.lo, self.hi = model, lo, hi
+
+    def one(self, kind, i, arg):
+        if kind == _LOCAL:
+            return segment_local(self.model, arg, self.lo, self.hi)
+        if kind == _ACTION:
+            return float(_segment_action_fast(self.model, arg, self.lo, self.hi))
+        diag, off, g = arg
+        if kind == _STEP:
+            return solve_tridiag_sym(diag, off, -g)
+        return shifted_newton_direction(diag, off, g)
+
+    def many(self, kind, batch, args):
+        if kind == _LOCAL:
+            return zip(*segment_local(self.model, np.array(args), self.lo, self.hi))
+        if kind == _ACTION:
+            return _segment_action_fast(self.model, np.array(args), self.lo, self.hi).tolist()
+        diag, off, g = (np.array(parts) for parts in zip(*args))
+        if kind == _STEP:
+            return solve_tridiag_stack(diag, off, -g)
+        m, k = diag.shape
+        couple = np.zeros((m, k))  # a row's last entry couples nothing
         couple[:, :-1] = off
-        couple = couple.ravel()[:-1]
-        *_, out, info = dgtsv(couple, diag.ravel(), couple, rhs.reshape(m * k, -1))
-        if info == 0 and np.all(np.isfinite(out)):
-            return out.reshape(rhs.shape)
-    return [solve_tridiag_sym(d, o, r) for d, o, r in zip(diag, off, rhs)]
+        return shifted_newton_directions(diag.ravel(), couple.ravel(), g.ravel(),
+                                         np.arange(0, m * k + 1, k), cyclic=False)
 
 
 def newton_segment_starts(model, W0, n_fix_left, n_fix_right, opts: SolveOptions):
@@ -706,14 +915,7 @@ def newton_segment_starts(model, W0, n_fix_left, n_fix_right, opts: SolveOptions
         raise ValueError("segment needs at least one clamped site per end")
     if hi <= lo:
         return [(w.copy(), 0.0, True) for w in W]
-    return _damped_newton(
-        W, slice(lo, hi),
-        lambda x: segment_local(model, x, lo, hi),
-        lambda x: _segment_action_fast(model, x, lo, hi),
-        solve_tridiag_stack,
-        shifted_newton_direction,
-        opts,
-    )
+    return _damped_newton(W, slice(lo, hi), _SegmentRows(model, lo, hi), opts)
 
 
 def newton_segment(model, w0, n_fix_left, n_fix_right, opts: SolveOptions):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import solvers
-from .errors import NoConvergence, SaddleOnly
+from .errors import NoConvergence, SaddleOnly, StaircaseLabError
 from .model import GeneratingModel
 from .solvers import SolveOptions
 
@@ -105,6 +105,24 @@ def minimize_periodic(
     return _to_config(model, p, q, best)
 
 
+def minimize_periodic_many(
+    model: GeneratingModel,
+    rationals,
+    options: SolveOptions | None = None,
+) -> dict:
+    """{(p, q): minimize_periodic(model, p, q, options), or the typed error it
+    raises}, with the starts of all the rationals solved together
+    (solvers.solve_all_starts_many); each result is minimize_periodic's."""
+    opts = options or SolveOptions()
+    out: dict = {}
+    for (p, q), points in zip(rationals, solvers.solve_all_starts_many(model, rationals, opts)):
+        try:
+            out[(p, q)] = _to_config(model, p, q, solvers.best_minimizer(model, p, q, opts, points))
+        except StaircaseLabError as exc:
+            out[(p, q)] = exc
+    return out
+
+
 def beta_at(
     model: GeneratingModel,
     p: int,
@@ -116,7 +134,7 @@ def beta_at(
     """Minimal action average beta(p/q); consults the cache when given.
 
     pooled maps (p, q) to the configuration, or the typed error, of a solve
-    done ahead of time (the scan's process pool).  A cache miss takes that
+    done ahead of time (the scan's pool_solves).  A cache miss takes that
     result instead of solving, re-raising a recorded error, and is then
     written to the cache as a fresh solve would be.
     """

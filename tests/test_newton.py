@@ -16,6 +16,11 @@ code it replaced.  Each row of a newton_periodic_starts batch must give
 what newton_periodic_u and the loop give, and solve_all_starts the same
 critical points as with one start at a time; the stacked cyclic solve must
 give each row what the lone solve gives, None included, without a warning.
+solve_all_starts_many, one stack over the starts of many rationals, must
+give each rational what solve_all_starts gives, also when every stacked
+dgtsv fails, and skipping byte-identical seeds must change no class; the
+ragged cyclic and shifted solves and a PeriodicStack's actions and local
+parts must give each row what it gets alone.
 No start may evaluate the action of one state twice, alone or in a batch:
 the accepted trial's action is the next search's a0.  The loops and pinned
 sweeps that the segment solves build must agree with the former dense
@@ -74,10 +79,10 @@ class Calls:
         self.args = []
         original = getattr(owner, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             self.n += 1
             self.args.append(args)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
@@ -90,7 +95,7 @@ def test_periodic_driver_matches_loop(name, q, max_iter, monkeypatch):
     opts = SolveOptions(max_iter=max_iter)
     prob = PeriodicProblem(model, p, q)
     dense = Calls(monkeypatch, solvers, "modified_newton_direction")
-    cyclic = Calls(monkeypatch, solvers, "solve_cyclic_tridiag_sym")
+    cyclic = Calls(monkeypatch, solvers, "solve_cyclic_tridiag_stack")
     steps = Calls(monkeypatch, PeriodicProblem, "local")
     for _, seed in build_seeds(model, p, q, opts):
         u0 = prob.from_lift(seed)
@@ -214,8 +219,8 @@ class Quadratic:
     """Action (x[1] - center)^2 / 2 with x[0] and x[2] clamped and a chosen Newton step.
 
     solve scales -g by `gain`; fallback steps along -g and counts its calls.
-    The *_one methods see one state, as the oracle loop does; the driver's
-    callbacks also take stacks and apply them to each row.  gradients and
+    The *_one methods see one state, as the oracle loop does; one and many
+    answer the driver's requests from them, a row at a time.  gradients and
     actions count the states evaluated.
     """
 
@@ -247,28 +252,19 @@ class Quadratic:
         self.fallbacks += 1
         return -g
 
-    def gradient(self, x):
-        return self.gradient_one(x) if x.ndim == 1 else np.array([self.gradient_one(r) for r in x])
+    def one(self, kind, i, arg):
+        if kind == solvers._LOCAL:
+            return (self.gradient_one(arg), *self.parts_one(arg))
+        if kind == solvers._ACTION:
+            return self.action_one(arg)
+        diag, off, g = arg
+        return self.solve_one(diag, off, -g) if kind == solvers._STEP else self.fallback(diag, off, g)
 
-    def action(self, x):
-        return self.action_one(x) if x.ndim == 1 else np.array([self.action_one(r) for r in x])
-
-    def hessian_parts(self, x):
-        return np.ones(x.shape[:-1] + (1,)), np.zeros(x.shape[:-1] + (0,))
-
-    def local(self, x):
-        return (self.gradient(x), *self.hessian_parts(x))
-
-    def solve(self, diag, off, rhs):
-        if diag.ndim == 1:
-            return self.solve_one(diag, off, rhs)
-        return [self.solve_one(d, o, r) for d, o, r in zip(diag, off, rhs)]
+    def many(self, kind, batch, args):
+        return [self.one(kind, i, arg) for i, arg in zip(batch, args)]
 
     def run(self, x0, max_iter=1):
-        x = np.array([x0], dtype=float)
-        return solvers._damped_newton(
-            x, self.free, self.local, self.action, self.solve, self.fallback,
-            SolveOptions(max_iter=max_iter))[0]
+        return solvers._damped_newton([x0], self.free, self, SolveOptions(max_iter=max_iter))[0]
 
     def loop(self, x0, max_iter=1):
         return damped_newton_loop(
@@ -555,10 +551,12 @@ def test_batch_row_whose_block_breaks_the_stacked_solve(bad, monkeypatch):
         assert steps[j].tobytes() == solvers.solve_tridiag_sym(diag[j], off[j], -g[j]).tobytes()
     alone = Calls(monkeypatch, solvers, "solve_tridiag_sym")
     shifted = Calls(monkeypatch, solvers, "shifted_newton_direction")
+    stacked = Calls(monkeypatch, solvers, "shifted_newton_directions")
     solvers.newton_segment_starts(FLAT, W0, 1, 1, SolveOptions(max_iter=1))
-    # every row re-solved alone, then one shifted solve per fallback taken
+    # every row re-solved alone, then the fallbacks taken: a lone one solves
+    # its shifted block alone, the rows of a round share one stacked solve
     assert [args[0].tobytes() for args in alone.args[:3]] == [d.tobytes() for d in diag]
-    assert shifted.n > 0 and alone.n == 3 + shifted.n
+    assert shifted.n + stacked.n > 0 and alone.n == 3 + shifted.n
     replay_batch(FLAT, W0, 1, 1, SolveOptions())
 
 
@@ -663,9 +661,9 @@ def test_flat_fk_batch_does_not_warn(p, q, monkeypatch):
     undivided = []
     stack = solvers.solve_cyclic_tridiag_stack
 
-    def recording(diag, off, corner, rhs):
-        rows = stack(diag, off, corner, rhs)
-        if diag.ndim == 2:
+    def recording(diag, off, bounds, rhs):
+        rows = stack(diag, off, bounds, rhs)
+        if len(bounds) > 2:
             undivided.extend(x is None for x in rows)
         return rows
 
@@ -678,16 +676,128 @@ def test_flat_fk_batch_does_not_warn(p, q, monkeypatch):
     assert_same_points(got, solvers.solve_all_starts(FLAT_FK, p, q, SolveOptions()))
 
 
+# ---- one stack for the starts of many rationals --------------------------------
+
+
+def scan_work_list(source, seed, bench, digest_tool):
+    text = (bench.SCAN_CONFIG.format(seed=seed, workers=1) if source == "benchmark"
+            else digest_tool.FOURIER_SCAN.format(seed=seed))
+    config = scan.parse_scan_config(text)
+    return config.model, scan.work_list(config)
+
+
+def assert_many_matches_one_at_a_time(model, rationals, opts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solvers.solve_all_starts_many(model, rationals, opts)
+    assert len(got) == len(rationals)
+    for points, (p, q) in zip(got, rationals):
+        assert_same_points(points, solvers.solve_all_starts(model, p, q, opts))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("source", ["benchmark", "fourier"])
+def test_many_rationals_match_one_at_a_time(source, seed, bench, digest_tool, monkeypatch):
+    # the stack mixes every 4 <= q < 100; q <= 3 and the long rows run apart
+    model, rationals = scan_work_list(source, seed, bench, digest_tool)
+    qs = [q for _, q in rationals]
+    assert min(qs) <= 3 and len({q for q in qs if 4 <= q < solvers._STACK_Q}) > 3
+    assert max(qs) >= solvers._STACK_Q or source == "fourier"
+    rounds = Calls(monkeypatch, solvers, "PeriodicStack")
+    assert_many_matches_one_at_a_time(model, rationals, SolveOptions(seed=seed))
+    assert rounds.n > 0
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_stack_of_many_problems_matches_each_row_alone(name):
+    # rows of several q and p, those of one q adjacent, with one q coming
+    # back later; a sequential sum (np.add.reduceat) differs in the last bits
+    model = MODELS[name]
+    rationals = [(1, 4), (3, 4), (1, 4), (2, 5), (5, 13), (8, 21), (7, 13), (34, 89), (1, 5)]
+    probs = [PeriodicProblem(model, p, q) for p, q in rationals]
+    rng = np.random.default_rng(17)
+    U = [prob.from_lift(solvers.integrable_seed(prob.p, prob.q, rng.uniform()))
+         + rng.uniform(-0.3, 0.3, prob.q) for prob in probs]
+    stack = solvers.PeriodicStack(probs)
+    u = np.concatenate(U)
+    actions = stack.action_fast(u)
+    parts = [stack.rows(v) for v in stack.local(u)]
+    for j, (prob, uj) in enumerate(zip(probs, U)):
+        assert actions[j].tobytes() == prob.action_fast(uj).tobytes()
+        for got, want in zip(parts, prob.local(uj)):
+            assert got[j].tobytes() == want.tobytes()
+
+
+def test_many_flat_fk_rationals_match_one_at_a_time():
+    # at k = 0 every Sherman-Morrison denominator is 0: no step divides, and
+    # nothing warns
+    rationals = [(0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 7), (5, 13), (13, 34), (89, 233)]
+    assert_many_matches_one_at_a_time(FLAT_FK, rationals, SolveOptions())
+
+
+def test_many_rationals_with_every_stacked_solve_failing(bench, monkeypatch):
+    # a dgtsv that fails on every block-diagonal stack (whose zero couplings
+    # mark its seams; these models couple every pair of neighbours) leaves
+    # each block to be solved alone, with the same bytes
+    model, rationals = scan_work_list("benchmark", 3, bench, None)
+    rationals = [(p, q) for p, q in rationals if q < 40]
+    opts = SolveOptions(seed=3)
+    want = solvers.solve_all_starts_many(model, rationals, opts)
+    real = solvers.dgtsv
+    failed = []
+
+    def failing(dl, d, du, b):
+        if np.any(dl == 0.0):
+            failed.append(len(d))
+            return dl, d, du, b, 1
+        return real(dl, d, du, b)
+
+    monkeypatch.setattr(solvers, "dgtsv", failing)
+    got = solvers.solve_all_starts_many(model, rationals, opts)
+    assert max(failed) > max(q for _, q in rationals)
+    for points, ref in zip(got, want):
+        assert_same_points(points, ref)
+
+
+def every_seed(model, p, q, opts):
+    """solve_all_starts with every seed run, byte-identical copies too."""
+    prob = PeriodicProblem(model, p, q)
+    seeds = build_seeds(model, p, q, opts)
+    U0 = [prob.from_lift(s0) for _, s0 in seeds]
+    return solvers._critical_points(prob, [label for label, _ in seeds],
+                                    solvers._solve_starts(prob, U0, opts), opts)
+
+
+@pytest.mark.parametrize("source", ["benchmark", "fourier"])
+def test_skipped_copies_change_no_class(source, bench, digest_tool, monkeypatch):
+    model, rationals = scan_work_list(source, 3, bench, digest_tool)
+    opts = SolveOptions(seed=3)
+    starts = Calls(monkeypatch, solvers, "_newton_start")
+    got = [solvers.solve_all_starts(model, p, q, opts) for p, q in rationals]
+    ran, starts.n = starts.n, 0
+    for points, (p, q) in zip(got, rationals):
+        assert_same_points(points, every_seed(model, p, q, opts))
+    assert ran < starts.n  # some seeds were copies, and did not run
+
+
 def cyclic_rows(seed, m=5, n=9):
     rng = np.random.default_rng(seed)
     return (rng.uniform(-3.0, 3.0, (m, n)), rng.uniform(-1.0, 1.0, (m, n - 1)),
             rng.uniform(-1.0, 1.0, m), rng.standard_normal((m, n)))
 
 
+def end_to_end(diag, off, corner, rhs):
+    """Rows (diag[j], off[j], corner[j], rhs[j]) as solve_cyclic_tridiag_stack
+    takes them: end to end, each row's off followed by its corner, and the
+    row bounds."""
+    return (np.concatenate(diag), np.concatenate([np.append(o, c) for o, c in zip(off, corner)]),
+            np.cumsum([0] + [len(d) for d in diag]), np.concatenate(rhs))
+
+
 def assert_stacked_cyclic_rows(diag, off, corner, rhs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = solvers.solve_cyclic_tridiag_stack(diag, off, corner, rhs)
+        got = solvers.solve_cyclic_tridiag_stack(*end_to_end(diag, off, corner, rhs))
         want = [solvers.solve_cyclic_tridiag_sym(*row) for row in zip(diag, off, corner, rhs)]
     assert len(got) == len(want)
     for x, w in zip(got, want):
@@ -700,6 +810,60 @@ def assert_stacked_cyclic_rows(diag, off, corner, rhs):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_stacked_cyclic_solve_matches_each_row_alone(seed):
     assert all(x is not None for x in assert_stacked_cyclic_rows(*cyclic_rows(seed)))
+
+
+def ragged_rows(seed, lengths):
+    rng = np.random.default_rng(seed)
+    return ([rng.uniform(-3.0, 3.0, n) for n in lengths],
+            [rng.uniform(-1.0, 1.0, n - 1) for n in lengths],
+            rng.uniform(-1.0, 1.0, len(lengths)),
+            [rng.standard_normal(n) for n in lengths])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ragged_cyclic_solve_matches_each_row_alone(seed, monkeypatch):
+    # rows of many lengths share one dgtsv, and a zero denominator (the
+    # cyclic Laplacian of row 3) stays undivided
+    diag, off, corner, rhs = ragged_rows(seed, [4, 9, 3, 5, 13, 4, 233])
+    diag[3], off[3], corner[3] = np.full(5, 2.0), np.full(4, -1.0), -1.0
+    stacked = Calls(monkeypatch, solvers, "dgtsv")
+    got = assert_stacked_cyclic_rows(diag, off, corner, rhs)
+    assert [x is None for x in got] == [False, False, False, True, False, False, False]
+    assert len(stacked.args[0][1]) == sum(map(len, diag))  # one stacked solve first
+
+
+def test_ragged_cyclic_solve_falls_back_to_each_row_alone(monkeypatch):
+    diag, off, corner, rhs = ragged_rows(4, [6, 4, 11, 5])
+    diag[1], off[1] = np.array([1.0, 0.0, 2.0, 3.0]), np.zeros(3)  # a zero pivot
+    alone = Calls(monkeypatch, solvers, "solve_tridiag_sym")
+    got = assert_stacked_cyclic_rows(diag, off, corner, rhs)
+    assert got[1] is None and alone.n == 2 * len(diag)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_stacked_shifted_directions_match_each_row_alone(cyclic):
+    # indefinite rows of many lengths, one whose shifted solve overflows
+    # (H = 0, g = 1e308: the stacked solve fails, and that row alone gives -g),
+    # and on open chains rows of one and two sites
+    rng = np.random.default_rng(9)
+    lengths = [4, 9, 3, 5, 13, 4] if cyclic else [4, 1, 9, 2, 5, 13, 4]
+    diag = [rng.uniform(-4.0, 2.0, n) for n in lengths]
+    off = [rng.uniform(-1.5, 1.5, n) for n in lengths]  # the last entry couples the ends
+    g = [rng.standard_normal(n) for n in lengths]
+    diag[2], off[2], g[2] = np.zeros(lengths[2]), np.zeros(lengths[2]), np.full(lengths[2], 1e308)
+    if not cyclic:
+        for o in off:
+            o[-1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solvers.shifted_newton_directions(
+            np.concatenate(diag), np.concatenate(off), np.concatenate(g),
+            np.cumsum([0] + lengths), cyclic)
+    assert len(got) == len(lengths)
+    for s, d, o, gj in zip(got, diag, off, g):
+        want = solvers.shifted_newton_direction(d, o[:-1], gj, float(o[-1]) if cyclic else None)
+        assert s.tobytes() == want.tobytes()
+    assert got[2].tobytes() == (-g[2]).tobytes()
 
 
 def test_stacked_cyclic_solve_leaves_a_zero_denominator_undivided(monkeypatch):

@@ -335,9 +335,12 @@ def test_work_list_is_what_the_serial_scan_solves(tmp_path, monkeypatch):
     assert solved - listed and solved - listed <= deeper
 
 
-def _identical_at_one_and_two_workers(tmp_path, pool_submits, text):
-    """Cold runs at workers 1 and 2, then a warm re-run at 2: the same bytes
-    (CSVs, report.json, cache records) each time, and no pool for the warm run."""
+def _identical_at_one_and_two_workers(tmp_path, pool_submits, text, monkeypatch):
+    """Cold runs at workers 1 and 2, then warm re-runs at 2 and 1: the same
+    bytes (CSVs, report.json, cache records) each time, and neither a pool
+    nor a batch for the warm runs.  Without a flatness target, whose loops
+    are solved on every run, a warm run starts no Newton iteration at all."""
+    from staircase_lab import solvers
     config = parse_scan_config(text)
     digests = []
     for workers in (1, 2):
@@ -350,18 +353,27 @@ def _identical_at_one_and_two_workers(tmp_path, pool_submits, text):
     assert sorted(pool_submits) == sorted(sc.work_list(config))
 
     pool_submits.clear()
-    code, _ = run_scan(dataclasses.replace(config, workers=2, out_dir=str(tmp_path / "w2")))
-    assert code == 0
-    assert pool_submits == []
-    assert digest_tree(tmp_path / "w2") == digests[0]
+    started, batches = [], []
+    newton_start = solvers._newton_start
+    monkeypatch.setattr(solvers, "_newton_start", lambda *args: started.append(args) or
+                        newton_start(*args))
+    monkeypatch.setattr(sc, "minimize_periodic_many", lambda *args: batches.append(args))
+    for workers in (2, 1):
+        out = tmp_path / f"w{workers}"
+        code, _ = run_scan(dataclasses.replace(config, workers=workers, out_dir=str(out)))
+        assert code == 0
+        assert digest_tree(out) == digests[0]
+    assert pool_submits == [] and batches == []
+    assert (started == []) == (not config.flatness_targets)
 
 
-def test_scan_artifacts_identical_at_one_and_two_workers(tmp_path, pool_submits):
-    _identical_at_one_and_two_workers(tmp_path, pool_submits, FOURIER_TEXT)
+def test_scan_artifacts_identical_at_one_and_two_workers(tmp_path, pool_submits, monkeypatch):
+    _identical_at_one_and_two_workers(tmp_path, pool_submits, FOURIER_TEXT, monkeypatch)
 
 
-def test_all_stage_scan_artifacts_identical_at_one_and_two_workers(tmp_path, pool_submits):
-    _identical_at_one_and_two_workers(tmp_path, pool_submits, POOL_TEXT)
+def test_all_stage_scan_artifacts_identical_at_one_and_two_workers(tmp_path, pool_submits,
+                                                                    monkeypatch):
+    _identical_at_one_and_two_workers(tmp_path, pool_submits, POOL_TEXT, monkeypatch)
 
 
 def test_pool_failure_is_attempted_once(tmp_path, monkeypatch, pool_submits):
@@ -393,6 +405,40 @@ def test_pool_failure_is_attempted_once(tmp_path, monkeypatch, pool_submits):
     assert any(f.get("p") == 1 and f.get("q") == 3 for f in failures[1])
     assert failures[2] == failures[1]
     assert digest_tree(tmp_path / "w1") == digest_tree(tmp_path / "w2")
+
+
+@pytest.mark.parametrize("error,p,q", [("NoConvergence", 1, 3), ("SaddleOnly", 2, 5)])
+def test_batch_failure_reaches_the_serial_pass_as_a_lone_solve(tmp_path, monkeypatch,
+                                                               error, p, q):
+    # no seed at all, or no certified minimum, for one rational of the
+    # workers = 1 batch; the same scan with the batch off solves each
+    # rational alone in the serial pass
+    from staircase_lab import solvers
+    if error == "NoConvergence":
+        seeds = solvers.build_seeds
+        monkeypatch.setattr(solvers, "build_seeds", lambda model, p_, q_, opts:
+                            [] if (p_, q_) == (p, q) else seeds(model, p_, q_, opts))
+    else:
+        certify = solvers.certify_psd_periodic_u
+        monkeypatch.setattr(solvers, "certify_psd_periodic_u", lambda prob, u, shift:
+                            (prob.p, prob.q) != (p, q) and certify(prob, u, shift))
+    batches = []
+    many = sc.minimize_periodic_many
+    monkeypatch.setattr(sc, "minimize_periodic_many",
+                        lambda model, todo, opts: batches.append(todo) or many(model, todo, opts))
+    config = dataclasses.replace(parse_scan_config(FOURIER_TEXT), workers=1)
+    runs = {}
+    for name in ("batch", "alone"):
+        with monkeypatch.context() as m:
+            if name == "alone":
+                m.setattr(sc, "pool_solves", lambda *args: {})
+            code, report = run_scan(dataclasses.replace(config, out_dir=str(tmp_path / name)))
+        assert code == 0
+        runs[name] = report["results"]["failures"], digest_tree(tmp_path / name)
+    assert len(batches) == 1 and (p, q) in batches[0]
+    assert runs["batch"] == runs["alone"]
+    errors = [f["error"] for f in runs["batch"][0] if (f.get("p"), f.get("q")) == (p, q)]
+    assert errors and set(errors) == {error}
 
 
 def test_scan_requires_out_dir():
