@@ -69,6 +69,18 @@ def transfer_matrices(model: GeneratingModel, config: PeriodicConfiguration):
     return mats
 
 
+_RESCALE_EXP = 448  # the monodromy product is scaled by 2**-448 once max|M| passes 2**448
+_RESCALE_AT = 2.0**_RESCALE_EXP
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2**e, signed inf where that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def monodromy(model: GeneratingModel, config: PeriodicConfiguration) -> HyperbolicityReport:
     """Ordered product of transfer matrices and the per-step Lyapunov exponent.
 
@@ -77,30 +89,45 @@ def monodromy(model: GeneratingModel, config: PeriodicConfiguration) -> Hyperbol
     accumulated product instead would cancel catastrophically once the trace
     is large (entries ~1e9 leave nothing of a unit determinant in float64).
     The small eigenvalue is recovered as det/mu_max for the same reason.
+
+    The product grows like exp(lambda q), so it is kept as 2**e times M:
+    whenever max|M| passes 2**448, M is scaled by 2**-448 (exactly) and e
+    grows by 448.  lambda = (log mu_max(M) + e log 2)/q stays finite; the
+    trace and the eigenvalues are scaled back and read inf only where they
+    overflow.  Nothing is rescaled at q <= 34 on FK k <= 2.
     """
     mats = transfer_matrices(model, config)
     M = np.eye(2)
+    e = 0
     for m in mats:
         M = m @ M
+        if np.abs(M).max() > _RESCALE_AT:
+            M = np.ldexp(M, -_RESCALE_EXP)
+            e += _RESCALE_EXP
     tr = float(M[0, 0] + M[1, 1])
     _, _, b = _orbit_partials(model, config)
     det = float(np.prod(np.roll(b, 1) / b))
-    disc = tr * tr - 4.0 * det
+    det_scaled = math.ldexp(det, -2 * e)
+    disc = tr * tr - 4.0 * det_scaled
     if disc >= 0.0:
         mu_big = (tr + math.copysign(math.sqrt(disc), tr)) / 2.0
         if mu_big == 0.0:
             eigs = (complex(tr / 2.0), complex(tr / 2.0))
         else:
-            eigs = (complex(mu_big), complex(det / mu_big))
+            eigs = (complex(mu_big), complex(det_scaled / mu_big))
     else:
         root = math.sqrt(-disc)
         eigs = (complex(tr / 2.0, root / 2.0), complex(tr / 2.0, -root / 2.0))
     mu_max = max(abs(eigs[0]), abs(eigs[1]))
-    lam = max(0.0, math.log(mu_max)) / config.q if mu_max > 0 else 0.0
+    lam = max(0.0, math.log(mu_max) + e * math.log(2.0)) / config.q if mu_max > 0 else 0.0
+    if e:
+        eigs = tuple(complex(_ldexp(z.real, e), _ldexp(z.imag, e)) for z in eigs)
+        if disc >= 0.0 and mu_big != 0.0:  # the small one unscaled, never subnormal
+            eigs = (eigs[0], complex(math.ldexp(det / mu_big, -e)))
     return HyperbolicityReport(
         p=config.p,
         q=config.q,
-        trace=tr,
+        trace=_ldexp(tr, e),
         det=det,
         eigenvalues=eigs,
         lyapunov=lam,

@@ -7,13 +7,14 @@ flatness curves and KAM-regime probes.  Results land in a fixed set of CSV
 files plus a canonical report.json.
 
 Every solve that no earlier result decides (work_list) and that has no cache
-record runs first (pool_solves): in a process pool with workers > 1, as one
-Newton stack with workers = 1.  The results stay in memory and the serial
-pass takes them on its cache misses instead of solving.  Only the adaptive
-refinement of a flatness slope and the one configuration a flatness curve
-builds its loops on are solved in the serial pass.  With a fixed seed two
-runs produce byte-identical artifacts and cache records at any worker count,
-and a warm cache changes nothing but the wall time.
+record runs first (pool_solves), as the same stacked solve at every worker
+count: one Newton stack per chunk of `workers` chunks, in-process at one
+worker.  The results stay in memory and the serial pass takes them on its
+cache misses instead of solving.  Only the adaptive refinement of a flatness
+slope and the one configuration a flatness curve builds its loops on are
+solved in the serial pass.  With a fixed seed two runs produce
+byte-identical artifacts and cache records at any worker count, and a warm
+cache changes nothing but the wall time.
 
 This module alone knows the stage order: grid (grid_table), window
 (cohomology_window), locking, estimators, staircase (staircase_stage),
@@ -56,7 +57,7 @@ from .staircase import (
     shifted_rational,
     variation_estimator,
 )
-from .variational import minimize_periodic, minimize_periodic_many
+from .variational import minimize_periodic_many
 
 _SCAN_KEYS = {
     "q_max",
@@ -350,35 +351,39 @@ def work_list(config: ScanConfig) -> list[tuple[int, int]]:
     return _sorted_pairs(rats)
 
 
+def _chunks(todo, n: int) -> list[list[tuple[int, int]]]:
+    """todo dealt into min(n, len(todo)) non-empty chunks: by descending q,
+    each rational to the first chunk with the smallest sum of q so far."""
+    chunks: list[list[tuple[int, int]]] = [[] for _ in range(min(n, len(todo)))]
+    for r in sorted(todo, key=lambda r: -r[1]):
+        min(chunks, key=lambda chunk: sum(q for _, q in chunk)).append(r)
+    return chunks
+
+
 def pool_solves(config: ScanConfig, cache: BetaCache | None, rationals) -> dict:
     """Solves the rationals without a cache record ahead of the serial pass.
 
     Returns {(p, q): configuration or typed error} for BetaTable.bind(...,
-    pooled=...).  With workers > 1 a process pool solves one rational per
-    task; with workers = 1 one Newton stack solves them all
-    (minimize_periodic_many).  Nothing is written here: the serial pass takes
-    each result on its cache miss and writes it as it would a solve of its
-    own, so the cache holds the same records at any worker count, and a
-    rational that failed here re-raises its error instead of being solved
-    again.
+    pooled=...).  Every worker count runs the same stacked solve: `workers`
+    chunks (_chunks), each one Newton stack (minimize_periodic_many), in
+    which each rational gets bit for bit what it gets alone; in-process at
+    workers = 1, one pool task per chunk otherwise.  Nothing is written
+    here: the serial pass takes each result on its cache miss and writes it
+    as it would a solve of its own, so the cache holds the same records at
+    any worker count, and a rational that failed here re-raises its error
+    instead of being solved again.
     """
     todo = [(p, q) for p, q in rationals
             if cache is None or not cache.record_path(config.model.model_hash, p, q).exists()]
     if len(todo) < 2:
         return {}
-    if config.workers < 2:
-        return minimize_periodic_many(config.model, todo, config.options)
-    todo.sort(key=lambda r: -r[1])  # long periods first, to even out the workers
-    pooled = {}
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        futures = {r: pool.submit(minimize_periodic, config.model, *r, config.options)
-                   for r in todo}
-        for r, fut in futures.items():
-            try:
-                pooled[r] = fut.result()
-            except StaircaseLabError as exc:
-                pooled[r] = exc
-    return pooled
+    chunks = _chunks(todo, config.workers)
+    if len(chunks) == 1:
+        return minimize_periodic_many(config.model, chunks[0], config.options)
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        futures = [pool.submit(minimize_periodic_many, config.model, chunk, config.options)
+                   for chunk in chunks]
+        return {r: solved for fut in futures for r, solved in fut.result().items()}
 
 
 # ---- csv / json rendering -------------------------------------------------------

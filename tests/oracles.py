@@ -22,9 +22,10 @@ vectorized, then the series-form model kernels and the np.roll neighbor
 differences that the lean kernels and indexed neighbors replaced, then
 the cache-record check that parsed the whole record and re-rendered its
 payload, before records were checked on the bytes read, and the record
-writer that rendered each payload twice, and last the loop
+writer that rendered each payload twice, then the loop
 builder that solved every gap of every loop on its own, before the loops
-became images of one gap-1 segment.
+became images of one gap-1 segment, and last the monodromy product without
+its power-of-two rescaling, which overflows from q = 89 on at FK k = 2.
 """
 
 import hashlib
@@ -35,7 +36,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 
-from staircase_lab import flatness, solvers
+from staircase_lab import flatness, hyperbolicity, solvers
 from staircase_lab.cache import payload_checksum, render_json
 from staircase_lab.staircase import normalize_rational
 
@@ -707,4 +708,33 @@ def concatenate_loop_per_gap(model, p, q, T, options=None, config=None):
         rotation=flatness.loop_rational(p, q, T),
         action_per_site=total / N,
         deformation_cost=total - math.fsum(raw_action), ladder=ladder, segment=None,
+    )
+
+
+# ---- the unscaled monodromy --------------------------------------------------
+
+
+def monodromy_unscaled(model, config):
+    """hyperbolicity.monodromy as it was before it rescaled the product."""
+    mats = hyperbolicity.transfer_matrices(model, config)
+    M = np.eye(2)
+    for m in mats:
+        M = m @ M
+    tr = float(M[0, 0] + M[1, 1])
+    _, _, b = hyperbolicity._orbit_partials(model, config)
+    det = float(np.prod(np.roll(b, 1) / b))
+    disc = tr * tr - 4.0 * det
+    if disc >= 0.0:
+        mu_big = (tr + math.copysign(math.sqrt(disc), tr)) / 2.0
+        if mu_big == 0.0:
+            eigs = (complex(tr / 2.0), complex(tr / 2.0))
+        else:
+            eigs = (complex(mu_big), complex(det / mu_big))
+    else:
+        root = math.sqrt(-disc)
+        eigs = (complex(tr / 2.0, root / 2.0), complex(tr / 2.0, -root / 2.0))
+    mu_max = max(abs(eigs[0]), abs(eigs[1]))
+    lam = max(0.0, math.log(mu_max)) / config.q if mu_max > 0 else 0.0
+    return hyperbolicity.HyperbolicityReport(
+        p=config.p, q=config.q, trace=tr, det=det, eigenvalues=eigs, lyapunov=lam,
     )

@@ -1,8 +1,11 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from staircase_lab.cli import main
 from staircase_lab.hyperbolicity import (
     full_report,
     monodromy,
@@ -12,9 +15,9 @@ from staircase_lab.hyperbolicity import (
     transfer_matrices,
 )
 from staircase_lab.model import frenkel_kontorova
-from staircase_lab.variational import minimize_periodic
+from staircase_lab.variational import minimize_periodic, minimize_periodic_many
 
-from oracles import pn_barrier_oracle
+from oracles import monodromy_unscaled, pn_barrier_oracle
 
 
 def test_transfer_matrices_integrable():
@@ -62,6 +65,40 @@ def test_monodromy_determinant_one():
             assert abs(rep.det - 1.0) < 1e-8
             prod = rep.eigenvalues[0] * rep.eigenvalues[1]
             assert prod.real == pytest.approx(rep.det, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [0.8, 2.0])
+def test_monodromy_matches_the_unscaled_product_up_to_q_34(k):
+    # at FK k = 2 the product reaches 2**216 at 13/34: below the rescale
+    # threshold, so every report is the unscaled product's, bit for bit
+    m = frenkel_kontorova(k)
+    rationals = [(p, q) for q in range(1, 35) for p in range(q) if math.gcd(p, q) == 1]
+    for cfg in minimize_periodic_many(m, rationals).values():
+        assert repr(monodromy(m, cfg)) == repr(monodromy_unscaled(m, cfg))
+
+
+def test_monodromy_lyapunov_finite_past_float_overflow():
+    # the unscaled product reads lyapunov inf at 55/89 and trace nan at 144/233
+    m = frenkel_kontorova(2.0)
+    mid = monodromy(m, minimize_periodic(m, 55, 89))
+    far = monodromy(m, minimize_periodic(m, 144, 233))
+    assert math.isfinite(mid.trace) and math.isfinite(mid.lyapunov)
+    assert mid.eigenvalues[0].real == pytest.approx(mid.trace, rel=1e-12)
+    assert far.trace == math.inf and far.eigenvalues[0].real == math.inf
+    assert math.isfinite(far.lyapunov) and far.lyapunov > 4.0
+    assert abs(far.lyapunov - mid.lyapunov) < 1e-6
+
+
+def test_cli_hyperbolicity_past_float_overflow_raises_no_warning(tmp_path, capsys):
+    model = tmp_path / "fk.model"
+    model.write_text("[model]\nfamily = frenkel-kontorova\nk = 2.0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["hyperbolicity", "-p", "144", "-q", "233", "--model", str(model)])
+    assert rc == 0 and caught == []
+    record = json.loads(capsys.readouterr().out)
+    assert record["trace"] is None  # inf renders as null
+    assert math.isfinite(record["lyapunov"]) and record["lyapunov"] > 4.0
 
 
 def test_second_variation_integrable_circulant():

@@ -294,16 +294,55 @@ rho_hi = 0.7
 
 @pytest.fixture
 def pool_submits(monkeypatch):
-    """Counts the tasks the scan submits to its process pool."""
-    counts = []
+    """The rationals of every chunk the scan submits to its process pool."""
+    submitted = []
 
     class CountingPool(sc.ProcessPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
-            counts.append(args[1:3])
+            submitted.extend(args[1])
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(sc, "ProcessPoolExecutor", CountingPool)
-    return counts
+    return submitted
+
+
+@pytest.fixture
+def pool_chunks(monkeypatch):
+    """(sizes, chunks): the max_workers of every process pool the scan
+    starts, and every chunk of rationals it submits."""
+    sizes, chunks = [], []
+
+    class RecordingPool(sc.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+        def submit(self, fn, /, *args, **kwargs):
+            chunks.append(list(args[1]))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(sc, "ProcessPoolExecutor", RecordingPool)
+    return sizes, chunks
+
+
+def assert_dealt(chunks, todo, workers):
+    """min(workers, len(todo)) non-empty chunks that hold each rational of
+    todo once, their sums of q no further apart than the largest q."""
+    assert len(chunks) == min(workers, len(todo)) and all(chunks)
+    assert sorted(r for chunk in chunks for r in chunk) == sorted(todo)
+    loads = [sum(q for _, q in chunk) for chunk in chunks]
+    assert max(loads) - min(loads) <= max(q for _, q in todo)
+
+
+def assert_same_solves(got, want):
+    """The same keys, positions bytes and actions, error types and messages."""
+    assert sorted(got) == sorted(want)
+    for r, expected in want.items():
+        if isinstance(expected, Exception):
+            assert type(got[r]) is type(expected) and str(got[r]) == str(expected)
+        else:
+            assert got[r].positions.tobytes() == expected.positions.tobytes()
+            assert repr(got[r].action_total) == repr(expected.action_total)
 
 
 def test_work_list_is_what_the_serial_scan_solves(tmp_path, monkeypatch):
@@ -439,6 +478,59 @@ def test_batch_failure_reaches_the_serial_pass_as_a_lone_solve(tmp_path, monkeyp
     assert runs["batch"] == runs["alone"]
     errors = [f["error"] for f in runs["batch"][0] if (f.get("p"), f.get("q")) == (p, q)]
     assert errors and set(errors) == {error}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("source", ["benchmark", "fourier"])
+def test_pool_chunks_match_one_stack(source, seed, bench, digest_tool, pool_chunks,
+                                     monkeypatch):
+    # no seed at 1/3 and no certified minimum at 1/4, so that errors cross
+    # the pool too; workers are forked after the patches and inherit them
+    from staircase_lab import solvers
+    seeds, certify = solvers.build_seeds, solvers.certify_psd_periodic_u
+    monkeypatch.setattr(solvers, "build_seeds", lambda model, p, q, opts:
+                        [] if (p, q) == (1, 3) else seeds(model, p, q, opts))
+    monkeypatch.setattr(solvers, "certify_psd_periodic_u", lambda prob, u, shift:
+                        (prob.p, prob.q) != (1, 4) and certify(prob, u, shift))
+    text = (bench.SCAN_CONFIG.format(seed=seed, workers=1) if source == "benchmark"
+            else digest_tool.FOURIER_SCAN.format(seed=seed))
+    config = parse_scan_config(text)
+    todo = sc.work_list(config)
+    want = sc.minimize_periodic_many(config.model, todo, config.options)
+    assert {type(v).__name__ for v in want.values() if isinstance(v, Exception)} == {
+        "NoConvergence", "SaddleOnly"}
+    sizes, chunks = pool_chunks
+    for workers in (2, 3):
+        sizes.clear()
+        chunks.clear()
+        got = sc.pool_solves(dataclasses.replace(config, workers=workers), None, todo)
+        assert sizes == [workers]
+        assert_dealt(chunks, todo, workers)
+        assert_same_solves(got, want)
+
+
+def test_pool_of_more_workers_than_rationals(pool_chunks):
+    config = dataclasses.replace(parse_scan_config(FOURIER_TEXT), workers=4)
+    todo = [(1, 2), (1, 3), (2, 5)]
+    got = sc.pool_solves(config, None, todo)
+    sizes, chunks = pool_chunks
+    assert sizes == [3]
+    assert_dealt(chunks, todo, 4)
+    assert_same_solves(got, sc.minimize_periodic_many(config.model, todo, config.options))
+
+
+def test_scan_artifacts_identical_at_one_and_three_workers(tmp_path, pool_chunks):
+    config = parse_scan_config(POOL_TEXT)
+    digests = []
+    for workers in (1, 3):
+        out = tmp_path / f"w{workers}"
+        code, _ = run_scan(dataclasses.replace(config, workers=workers, out_dir=str(out)))
+        assert code == 0
+        digests.append(digest_tree(out))
+    assert digests[0] == digests[1]
+    sizes, chunks = pool_chunks
+    assert sizes == [3]
+    assert_dealt(chunks, sc.work_list(config), 3)
 
 
 def test_scan_requires_out_dir():

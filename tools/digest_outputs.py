@@ -7,8 +7,9 @@ SRC_ROOT/src, and the configs and commands from SRC_ROOT/perfbench/run.py, so
 two checkouts can be compared with `diff` on their outputs.  For each seed it
 prints one "<sha256>  <label>" line for:
 
-- every artifact and cache record of the benchmark scan config at workers 1
-  and 2, plus its exit status;
+- every artifact and cache record of the benchmark scan config at workers 1,
+  2 and 3 (its work list solved as one, two and three Newton stacks), plus
+  its exit status;
 - the exit code, stdout and stderr of each orbit-analysis command, of
   probe-kam on the scan config at workers 1 and 2, and of
   `flatness -p 1 -q 3 --out-dir DIR`, plus the CSV that writes;
@@ -249,11 +250,12 @@ def warm_digests(bench, cli, model: Path, seed: int, work: Path):
 def digests(bench, seed: int, work: Path):
     from staircase_lab import cli, parse_model, scan
 
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         text = bench.SCAN_CONFIG.format(seed=seed, workers=workers)
         yield from scan_digests(scan, text, f"scan seed={seed} workers={workers}",
                                 work / f"scan-{seed}-{workers}")
-
+        if workers == 3:
+            continue
         cfg = work / f"probe-{seed}-{workers}.cfg"
         cfg.write_text(text)
         yield from cli_digests(bench, cli, f"probe-kam seed={seed} workers={workers}",
