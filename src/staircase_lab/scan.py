@@ -12,9 +12,10 @@ count: one Newton stack per chunk of `workers` chunks, in-process at one
 worker.  The results stay in memory and the serial pass takes them on its
 cache misses instead of solving.  Only the adaptive refinement of a flatness
 slope and the one configuration a flatness curve builds its loops on are
-solved in the serial pass.  With a fixed seed two runs produce
-byte-identical artifacts and cache records at any worker count, and a warm
-cache changes nothing but the wall time.
+solved in the serial pass.  With a fixed seed two runs of one config text
+produce byte-identical artifacts and cache records at any worker count set
+on top of that text (--workers), and a warm cache changes nothing but the
+wall time; report.json's config_digest hashes the text, workers line and all.
 
 This module alone knows the stage order: grid (grid_table), window
 (cohomology_window), locking, estimators, staircase (staircase_stage),
@@ -235,7 +236,9 @@ def parse_scan_config(text: str, require_scan: bool = True) -> ScanConfig:
         raise ConfigError(f"[scan] theta values must lie in (0,1]: {thetas}")
     if thetas and not nus:
         raise ConfigError("[scan] theta given without any nu")
-    estimator_q = _parse_int("scan", scan_data, "estimator_q", 0) or None
+    estimator_q = _parse_int("scan", scan_data, "estimator_q", 0)
+    if estimator_q < 0:
+        raise ConfigError(f"[scan] estimator_q must be >= 0, got {estimator_q}")
     c_grid = _parse_int("scan", scan_data, "c_grid", 201)
     if c_grid < 2:
         raise ConfigError(f"[scan] c_grid must be >= 2, got {c_grid}")
@@ -246,6 +249,8 @@ def parse_scan_config(text: str, require_scan: bool = True) -> ScanConfig:
     if workers < 1:
         raise ConfigError(f"[scan] workers must be >= 1, got {workers}")
     seed = _parse_int("scan", scan_data, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"[scan] seed must be >= 0, got {seed}")
 
     return ScanConfig(
         model=model,
@@ -256,7 +261,7 @@ def parse_scan_config(text: str, require_scan: bool = True) -> ScanConfig:
         c_hi=c_hi,
         nus=nus,
         thetas=thetas,
-        estimator_q=estimator_q,
+        estimator_q=estimator_q or None,
         c_grid=c_grid,
         derivative_depth=depth,
         workers=workers,

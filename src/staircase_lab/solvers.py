@@ -12,9 +12,8 @@ differs between the problems:
   factorization; skipped for q <= 3).  Its fallback is the Gershgorin-shifted
   cyclic solve of shifted_newton_direction, O(q), except at q <= 3, where the
   couplings fold onto at most a 3x3 matrix: the dense eigenvalue-clipped step.
-  newton_periodic_starts runs many starts of one problem together;
-  solve_all_starts runs its starts that way at q >= 4, and
-  solve_all_starts_many runs the starts of many rationals as one stack.
+  solve_all_starts_many runs the starts of many rationals with q >= 4 as
+  stacks of starts, and solve_all_starts is its one-rational case.
 - newton_segment: interior sites of a segment with clamped ends.  The
   Hessian is tridiagonal (dgtsv), the fallback the same shifted solve on the
   open chain.  newton_segment_starts runs many starts of one problem together.
@@ -186,36 +185,16 @@ def _solve_blocks(diag, couple, rhs, bounds):
             for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def solve_tridiag_stack(diag, off, rhs):
-    """Per-row solutions of the tridiagonal systems (diag[j], off[j]), None for a failed row.
-
-    rhs[j] is one vector or a matrix of right-hand-side columns.  One system
-    (1-D diag) is solved as solve_tridiag_sym solves it; stacked rows go
-    through _solve_blocks on the block-diagonal stack.
-    """
-    if diag.ndim == 1:
-        return solve_tridiag_sym(diag, off, rhs)
-    m, k = diag.shape
-    couple = np.zeros((m, k))
-    couple[:, :-1] = off
-    out = _solve_blocks(diag.ravel(), couple.ravel()[:-1], rhs.reshape((m * k,) + rhs.shape[2:]),
-                        np.arange(0, m * k + 1, k))
-    return out.reshape(rhs.shape) if isinstance(out, np.ndarray) else out
-
-
 def solve_cyclic_tridiag_sym(diag, off, corner, rhs):
     """Solve (tridiag + symmetric corner) via a rank-one Sherman-Morrison update.
 
-    off has length n-1 (interior couplings); corner couples entries 0 and n-1.
-    From n = 3 on this is the one-row case of solve_cyclic_tridiag_stack.
+    off has length n-1 (interior couplings); corner couples entries 0 and n-1,
+    n >= 3 (below, the couplings fold onto one another).  This is the one-row
+    case of solve_cyclic_tridiag_stack.
     """
     n = len(diag)
     if n < 3:
-        try:
-            out = np.linalg.solve(tridiag_dense(diag, np.append(off, corner)), rhs)
-        except np.linalg.LinAlgError:
-            return None
-        return out if np.all(np.isfinite(out)) else None
+        raise ValueError(f"a cyclic tridiagonal system needs n >= 3, got {n}")
     return solve_cyclic_tridiag_stack(diag, np.append(off, corner), np.array([0, n]), rhs)[0]
 
 
@@ -629,19 +608,9 @@ class _PeriodicRows:
         return shifted_newton_directions(diag, off, g, bounds, cyclic=True)
 
 
-def newton_periodic_starts(prob: PeriodicProblem, U0, opts: SolveOptions):
-    """newton_periodic_u for every row of U0 at once: one (u, residual_sup, ok) per row.
-
-    The rows share one model evaluation and, at q >= 4, one stacked cyclic
-    solve per iterate; each row's result equals its own newton_periodic_u
-    bit for bit.
-    """
-    return _damped_newton(U0, slice(None), _PeriodicRows([prob] * len(U0)), opts)
-
-
 def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
     """Damped Newton in displacement coordinates; returns (u, residual_sup, ok)."""
-    return newton_periodic_starts(prob, [u0], opts)[0]
+    return _damped_newton([u0], slice(None), _PeriodicRows([prob]), opts)[0]
 
 
 def certify_psd_periodic_u(prob: PeriodicProblem, u, shift=1e-8):
@@ -764,16 +733,6 @@ def _starts(model, p, q, opts: SolveOptions):
     return prob, labels, U0
 
 
-def _solve_starts(prob: PeriodicProblem, U0, opts: SolveOptions):
-    """The starts of one problem: one batch at q >= 4, one newton_periodic_u
-    per start below (the batch gives the same bytes there too; this split is
-    kept only because perfbench/test_bypass.py counts newton_periodic_u
-    calls, and ROADMAP item 7.4 removes it)."""
-    if prob.q >= 4:
-        return newton_periodic_starts(prob, U0, opts)
-    return [newton_periodic_u(prob, u0, opts) for u0 in U0]
-
-
 def _critical_points(prob: PeriodicProblem, labels, solved, opts: SolveOptions):
     """The distinct critical points of the converged starts, by action.
 
@@ -801,38 +760,40 @@ def _critical_points(prob: PeriodicProblem, labels, solved, opts: SolveOptions):
 
 
 def solve_all_starts(model, p, q, opts: SolveOptions):
-    """Runs every distinct seed to convergence; returns distinct critical points.
-
-    At q >= 4 the starts run as one batch (newton_periodic_starts).
-    """
-    prob, labels, U0 = _starts(model, p, q, opts)
-    return _critical_points(prob, labels, _solve_starts(prob, U0, opts), opts)
+    """Runs every distinct seed to convergence; returns distinct critical points."""
+    return solve_all_starts_many(model, [(p, q)], opts)[0]
 
 
-# q from which a rational's starts stay in a stack of their own: longer rows
-# are compute-bound, and a bigger stack would only hold more memory
+# q from which a rational's starts run in a stack of their own: one stack for
+# every q >= 4 left scan-cold's wall time unchanged (about 0.43 s on a 2-core
+# host) and raised its peak RSS from 64.5 to 69.6 MB
 _STACK_Q = 100
 
 
 def solve_all_starts_many(model, rationals, opts: SolveOptions):
-    """solve_all_starts of each rational (p, q): one list of critical points per rational.
+    """The distinct critical points of each rational (p, q), one list per rational.
 
     The starts of every rational with 4 <= q < _STACK_Q run as one stack
     (_PeriodicRows), so each round pays numpy's call overhead once for all of
     them: one model pass, one cyclic solve and one shifted fallback over
-    rows of many lengths.  The other rationals run as solve_all_starts runs
-    them.  Every list is bit for bit what solve_all_starts returns.
+    rows of many lengths.  A rational with q >= _STACK_Q is a stack of its
+    own, and at q <= 3 each start runs alone (newton_periodic_u: a stack
+    gives the same bytes, but perfbench/test_bypass.py counts these calls;
+    ROADMAP item 7.4).  Each start gets bit for bit what it gets alone.
     """
     starts = [_starts(model, p, q, opts) for p, q in rationals]
-    stacked = sorted((j for j, (prob, _, _) in enumerate(starts) if 4 <= prob.q < _STACK_Q),
-                     key=lambda j: starts[j][0].q)
-    probs = [starts[j][0] for j in stacked for _ in starts[j][2]]
-    rows = iter(_damped_newton([u0 for j in stacked for u0 in starts[j][2]], slice(None),
-                               _PeriodicRows(probs), opts))
-    solved = {j: [next(rows) for _ in starts[j][2]] for j in stacked}
-    return [_critical_points(prob, labels,
-                             solved[j] if j in solved else _solve_starts(prob, U0, opts), opts)
-            for j, (prob, labels, U0) in enumerate(starts)]
+    shared = sorted((j for j, (prob, _, _) in enumerate(starts) if 4 <= prob.q < _STACK_Q),
+                    key=lambda j: starts[j][0].q)
+    stacks = [shared] + [[j] for j, (prob, _, _) in enumerate(starts) if prob.q >= _STACK_Q]
+    solved = {j: [newton_periodic_u(prob, u0, opts) for u0 in U0]
+              for j, (prob, _, U0) in enumerate(starts) if prob.q <= 3}
+    for stack in stacks:
+        probs = [starts[j][0] for j in stack for _ in starts[j][2]]
+        rows = iter(_damped_newton([u0 for j in stack for u0 in starts[j][2]], slice(None),
+                                   _PeriodicRows(probs), opts))
+        solved.update((j, [next(rows) for _ in starts[j][2]]) for j in stack)
+    return [_critical_points(prob, labels, solved[j], opts)
+            for j, (prob, labels, _) in enumerate(starts)]
 
 
 def best_minimizer(model, p, q, opts: SolveOptions, points=None) -> CriticalPoint:
@@ -893,13 +854,15 @@ class _SegmentRows:
         if kind == _ACTION:
             return _segment_action_fast(self.model, np.array(args), self.lo, self.hi).tolist()
         diag, off, g = (np.array(parts) for parts in zip(*args))
-        if kind == _STEP:
-            return solve_tridiag_stack(diag, off, -g)
         m, k = diag.shape
         couple = np.zeros((m, k))  # a row's last entry couples nothing
         couple[:, :-1] = off
-        return shifted_newton_directions(diag.ravel(), couple.ravel(), g.ravel(),
-                                         np.arange(0, m * k + 1, k), cyclic=False)
+        diag, couple, g = diag.ravel(), couple.ravel(), g.ravel()
+        bounds = np.arange(0, m * k + 1, k)
+        if kind == _STEP:
+            steps = _solve_blocks(diag, couple[:-1], -g, bounds)
+            return steps.reshape(m, k) if isinstance(steps, np.ndarray) else steps
+        return shifted_newton_directions(diag, couple, g, bounds, cyclic=False)
 
 
 def newton_segment_starts(model, W0, n_fix_left, n_fix_right, opts: SolveOptions):

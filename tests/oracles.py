@@ -16,8 +16,10 @@ the fallback rule the solver follows now and with its former dense one
 loop), and the periodic Gershgorin fallback as newton_periodic_u wrote it
 inline before solvers.shifted_newton_direction served both problems, plus
 _damped_newton as it was before it took a stack of states, stopped on a
-repeated state and carried the accepted trial's action over, the next the
-per-site lift that TranslateLadder used before it was
+repeated state and carried the accepted trial's action over, then
+solve_all_starts with each start run alone through newton_periodic_u, as
+it ran before it became the one-rational case of the stacked multistart,
+next the per-site lift that TranslateLadder used before it was
 vectorized, then the series-form model kernels and the np.roll neighbor
 differences that the lean kernels and indexed neighbors replaced, then
 the cache-record check that parsed the whole record and re-rendered its
@@ -535,6 +537,19 @@ def damped_newton_loop(x, free, gradient, action, hessian_parts, solve, fallback
             return x, res, False
     res = float(np.abs(gradient(x)).max())
     return x, res, res < opts.tol
+
+
+# ---- the periodic multistart, one start at a time ------------------------------
+
+
+def solve_all_starts_one_at_a_time(model, p, q, opts):
+    """solvers.solve_all_starts with every start run alone: the one-start
+    path of _damped_newton (solvers.newton_periodic_u, looked up at each
+    call, so a test may replace it), then the class dedup and certificates
+    of _critical_points."""
+    prob, labels, U0 = solvers._starts(model, p, q, opts)
+    return solvers._critical_points(
+        prob, labels, [solvers.newton_periodic_u(prob, u0, opts) for u0 in U0], opts)
 
 
 # ---- translate ladder, one site at a time --------------------------------------

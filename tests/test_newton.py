@@ -12,15 +12,16 @@ what the loops give after max_iter, on the per-gap solves of the oracle
 loop builder and on the one gap-1 batch of flatness_curve.
 shifted_newton_direction, the fallback both problems share, is checked on
 its edge cases and, in its cyclic form, bit for bit against the inline
-code it replaced.  Each row of a newton_periodic_starts batch must give
-what newton_periodic_u and the loop give, and solve_all_starts the same
-critical points as with one start at a time; the stacked cyclic solve must
-give each row what the lone solve gives, None included, without a warning.
-solve_all_starts_many, one stack over the starts of many rationals, must
-give each rational what solve_all_starts gives, also when every stacked
-dgtsv fails, and skipping byte-identical seeds must change no class; the
-ragged cyclic and shifted solves and a PeriodicStack's actions and local
-parts must give each row what it gets alone.
+code it replaced.  Each row of a stack of one periodic problem's starts
+must give what newton_periodic_u and the loop give; the stacked cyclic
+solve must give each row what the lone solve gives, None included, without
+a warning.  solve_all_starts_many, the stacks over the starts of many
+rationals, and solve_all_starts, its one-rational case, must give each
+rational what its starts give run one at a time
+(oracles.solve_all_starts_one_at_a_time), also when every stacked dgtsv
+fails, and skipping byte-identical seeds must change no class; the ragged
+cyclic and shifted solves and a PeriodicStack's actions and local parts
+must give each row what it gets alone.
 No start may evaluate the action of one state twice, alone or in a batch:
 the accepted trial's action is the next search's a0.  The loops and pinned
 sweeps that the segment solves build must agree with the former dense
@@ -50,6 +51,7 @@ from oracles import (
     newton_periodic_u_loop_dense,
     newton_segment_loop,
     newton_segment_loop_dense,
+    solve_all_starts_one_at_a_time,
 )
 
 MODELS = {
@@ -110,11 +112,6 @@ def test_periodic_driver_matches_loop(name, q, max_iter, monkeypatch):
         assert dense.n == 0 and (cyclic.n > steps.n or max_iter == 3)
 
 
-def periodic_loops_dense(prob, U0, opts):
-    """newton_periodic_starts with every row run by the dense-fallback loop."""
-    return [newton_periodic_u_loop_dense(prob, u0, opts) for u0 in np.asarray(U0, dtype=float)]
-
-
 def assert_minimizers_match_dense_fallback(text, extra, monkeypatch):
     """best_minimizer against the solve whose fallback is dense for every q <= 200,
     on each rational with 4 <= q <= 200 in the work list of the scan config
@@ -128,9 +125,10 @@ def assert_minimizers_match_dense_fallback(text, extra, monkeypatch):
         got = solvers.best_minimizer(config.model, p, q, opts)
         assert dense.n == taken
         with monkeypatch.context() as m:
+            # every start run alone by the dense-fallback loop
             m.setattr(solvers, "newton_periodic_u", newton_periodic_u_loop_dense)
-            m.setattr(solvers, "newton_periodic_starts", periodic_loops_dense)
-            want = solvers.best_minimizer(config.model, p, q, opts)
+            want = solvers.best_minimizer(config.model, p, q, opts,
+                                          solve_all_starts_one_at_a_time(config.model, p, q, opts))
         assert solvers.class_distance(got.positions, want.positions, q, 1e-8) <= 1e-8
         assert got.psd == want.psd
         beta, beta_dense = got.action / q, want.action / q
@@ -369,7 +367,7 @@ def test_no_batched_start_evaluates_the_action_of_a_state_twice(name, q, monkeyp
     seen.assert_each_state_once()
     alone, seen.starts = seen.starts, []
     with seen.start():
-        got = solvers.newton_periodic_starts(prob, U0, SolveOptions())
+        got = periodic_starts(prob, U0, SolveOptions())
     for row, u0 in zip(got, U0):
         assert_same(row, newton_periodic_u_loop(prob, u0, SolveOptions()))
     assert seen.stacked > 0
@@ -545,7 +543,8 @@ BAD_BLOCKS = {
 def test_batch_row_whose_block_breaks_the_stacked_solve(bad, monkeypatch):
     W0 = np.array([[0.0, 0.1, 0.2, 0.3, 0.4], BAD_BLOCKS[bad], [0.0, 0.15, 0.3, 0.45, 0.6]])
     g, diag, off = solvers.segment_local(FLAT, W0, 1, 4)
-    steps = solvers.solve_tridiag_stack(diag, off, -g)
+    steps = solvers._SegmentRows(FLAT, 1, 4).many(solvers._STEP, [0, 1, 2],
+                                                  list(zip(diag, off, g)))
     assert steps[1] is None
     for j in (0, 2):
         assert steps[j].tobytes() == solvers.solve_tridiag_sym(diag[j], off[j], -g[j]).tobytes()
@@ -580,6 +579,18 @@ def test_batch_rows_without_free_sites(left, right):
         assert not np.shares_memory(w, W0)
 
 
+def blocks_end_to_end(diag, off, rhs):
+    """Per-row solutions of the tridiagonal systems (diag[j], off[j]) for
+    rhs[j], from _solve_blocks on the rows end to end with zero couplings
+    between them: the layout _SegmentRows.many gives its rows."""
+    m, k = diag.shape
+    couple = np.zeros((m, k))
+    couple[:, :-1] = off
+    out = solvers._solve_blocks(diag.ravel(), couple.ravel()[:-1],
+                                rhs.reshape((m * k,) + rhs.shape[2:]), np.arange(0, m * k + 1, k))
+    return out.reshape(rhs.shape) if isinstance(out, np.ndarray) else out
+
+
 def test_stacked_tridiagonal_solve_matches_each_block_alone():
     rng = np.random.default_rng(5)
     diag = rng.uniform(-3.0, 3.0, (14, 9))
@@ -591,7 +602,7 @@ def test_stacked_tridiagonal_solve_matches_each_block_alone():
             diag[singular] = 0.0
             off[singular] = 0.0
         for b in (rhs, columns):
-            got = solvers.solve_tridiag_stack(diag, off, b)
+            got = blocks_end_to_end(diag, off, b)
             for j in range(14):
                 want = solvers.solve_tridiag_sym(diag[j], off[j], b[j])
                 if j == singular:
@@ -603,6 +614,12 @@ def test_stacked_tridiagonal_solve_matches_each_block_alone():
 # ---- one batch for the starts of a periodic rational ---------------------------
 
 
+def periodic_starts(prob, U0, opts):
+    """The starts U0 of prob as one _damped_newton stack: one (u,
+    residual_sup, ok) per row."""
+    return solvers._damped_newton(U0, slice(None), solvers._PeriodicRows([prob] * len(U0)), opts)
+
+
 @pytest.mark.parametrize("max_iter", MAX_ITERS)
 @pytest.mark.parametrize("q", sorted(P_OF))
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -612,20 +629,13 @@ def test_periodic_batch_rows_match_single_starts(name, q, max_iter, monkeypatch)
     prob = PeriodicProblem(model, p, q)
     U0 = np.array([prob.from_lift(seed) for _, seed in build_seeds(model, p, q, opts)])
     stacked = Calls(monkeypatch, solvers, "solve_cyclic_tridiag_stack")
-    got = solvers.newton_periodic_starts(prob, U0, opts)
+    got = periodic_starts(prob, U0, opts)
     # q <= 3 tries no structured solve; above, the starts share stacked solves
     assert any(len(args[0]) > 1 for args in stacked.args) == (q >= 4)
     assert len(got) == len(U0)
     for row, u0 in zip(got, U0):
         assert_same(row, solvers.newton_periodic_u(prob, u0, opts))
         assert_same(row, newton_periodic_u_loop(prob, u0, opts))
-
-
-def one_start_at_a_time(monkeypatch):
-    """Makes solve_all_starts run each start as its own one-row batch."""
-    batch = solvers.newton_periodic_starts
-    monkeypatch.setattr(solvers, "newton_periodic_starts",
-                        lambda prob, U0, opts: [batch(prob, [u0], opts)[0] for u0 in U0])
 
 
 def assert_same_points(got, want):
@@ -637,18 +647,13 @@ def assert_same_points(got, want):
 
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("source", ["benchmark", "fourier"])
-def test_solve_all_starts_batch_matches_one_start_at_a_time(source, seed, bench, digest_tool,
-                                                             monkeypatch):
-    text = (bench.SCAN_CONFIG.format(seed=seed, workers=1) if source == "benchmark"
-            else digest_tool.FOURIER_SCAN.format(seed=seed))
-    config = scan.parse_scan_config(text)
-    rationals = scan.work_list(config)
+def test_solve_all_starts_batch_matches_one_start_at_a_time(source, seed, bench, digest_tool):
+    model, rationals = scan_work_list(source, seed, bench, digest_tool)
     assert sum(q >= 4 for _, q in rationals) > 20
     opts = SolveOptions(seed=seed)
-    got = [solvers.solve_all_starts(config.model, p, q, opts) for p, q in rationals]
-    one_start_at_a_time(monkeypatch)
-    for points, (p, q) in zip(got, rationals):
-        assert_same_points(points, solvers.solve_all_starts(config.model, p, q, opts))
+    for p, q in rationals:
+        assert_same_points(solvers.solve_all_starts(model, p, q, opts),
+                           solve_all_starts_one_at_a_time(model, p, q, opts))
 
 
 FLAT_FK = frenkel_kontorova(0.0)
@@ -672,8 +677,7 @@ def test_flat_fk_batch_does_not_warn(p, q, monkeypatch):
         warnings.simplefilter("error")
         got = solvers.solve_all_starts(FLAT_FK, p, q, SolveOptions())
     assert any(undivided)
-    one_start_at_a_time(monkeypatch)
-    assert_same_points(got, solvers.solve_all_starts(FLAT_FK, p, q, SolveOptions()))
+    assert_same_points(got, solve_all_starts_one_at_a_time(FLAT_FK, p, q, SolveOptions()))
 
 
 # ---- one stack for the starts of many rationals --------------------------------
@@ -692,7 +696,7 @@ def assert_many_matches_one_at_a_time(model, rationals, opts):
         got = solvers.solve_all_starts_many(model, rationals, opts)
     assert len(got) == len(rationals)
     for points, (p, q) in zip(got, rationals):
-        assert_same_points(points, solvers.solve_all_starts(model, p, q, opts))
+        assert_same_points(points, solve_all_starts_one_at_a_time(model, p, q, opts))
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -760,12 +764,11 @@ def test_many_rationals_with_every_stacked_solve_failing(bench, monkeypatch):
 
 
 def every_seed(model, p, q, opts):
-    """solve_all_starts with every seed run, byte-identical copies too."""
+    """solve_all_starts_one_at_a_time with every seed run, byte-identical copies too."""
     prob = PeriodicProblem(model, p, q)
     seeds = build_seeds(model, p, q, opts)
-    U0 = [prob.from_lift(s0) for _, s0 in seeds]
-    return solvers._critical_points(prob, [label for label, _ in seeds],
-                                    solvers._solve_starts(prob, U0, opts), opts)
+    solved = [solvers.newton_periodic_u(prob, prob.from_lift(s0), opts) for _, s0 in seeds]
+    return solvers._critical_points(prob, [label for label, _ in seeds], solved, opts)
 
 
 @pytest.mark.parametrize("source", ["benchmark", "fourier"])

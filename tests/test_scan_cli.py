@@ -132,6 +132,8 @@ def test_parse_defaults():
     "[probe]\ncf = 0,1,1\nrho_lo = 0.3\n",                        # half a window
     "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\n"
     "[flatness]\np = 1\n",                                        # flatness without q
+    "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nseed = -1\n",
+    "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nestimator_q = -3\n",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ConfigError):
@@ -249,6 +251,27 @@ def test_warm_cache_run_is_identical(k0_scan, tmp_path):
     code, _ = run_scan(warm)
     assert code == 0
     assert digest_dir(out) == digest_dir(tmp_path / "warm")
+
+
+def test_workers_flag_keeps_the_report_and_a_workers_line_moves_only_its_digest(tmp_path):
+    # --workers leaves the config text, and so config_digest, as it is; a
+    # workers line is part of the text that config_digest hashes
+    texts = {workers: K0_TEXT.replace("seed = 0\n", f"seed = 0\nworkers = {workers}\n")
+             for workers in (1, 2)}
+    reports = {}
+    for name, text, flag in (("flag 1", K0_TEXT, "1"), ("flag 2", K0_TEXT, "2"),
+                             ("line 1", texts[1], None), ("line 2", texts[2], None)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
+        argv = ["scan", str(cfg), "--out-dir", str(out)] + (["--workers", flag] if flag else [])
+        assert main(argv) == 0
+        reports[name] = (out / "report.json").read_text()
+    assert reports["flag 1"] == reports["flag 2"]
+    digests = [json.loads(reports[name])["config_digest"] for name in ("line 1", "line 2")]
+    assert digests == [hashlib.sha256(texts[w].encode()).hexdigest() for w in (1, 2)]
+    assert reports["line 1"] != reports["line 2"]
+    assert reports["line 1"].replace(*digests) == reports["line 2"]
 
 
 FOURIER_TEXT = """
@@ -739,6 +762,15 @@ def test_cli_beta_prints_record(capsys, k0_model_file):
     # no locking at k=0: both one-sided derivatives equal rho
     assert abs(record["c_minus"] - 0.5) < 1e-8
     assert abs(record["c_plus"] - 0.5) < 1e-8
+
+
+def test_cli_negative_seed_exits_2(capsys, k0_model_file, tmp_path):
+    cache = tmp_path / "cache"
+    rc = main(["beta", "-p", "1", "-q", "4", "--model", k0_model_file, "--seed", "-1",
+               "--cache-dir", str(cache)])
+    assert rc == 2
+    assert not cache.exists()
+    assert "--seed must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_beta_requires_model(capsys):

@@ -37,7 +37,12 @@ prints one "<sha256>  <label>" line for:
   `solvers.solve_all_starts` returns (labels, actions, psd flags and
   positions bytes) and `enumerate_minimizers(...).multiplicity` with
   max(50, q) starts, whose class merge uses tol 1e-7.  A change to the class
-  dedup that merges or splits a class shows here.
+  dedup that merges or splits a class shows here.  Then the same four
+  digests of every class of every rational that
+  `solvers.solve_all_starts_many` returns on the work list of the
+  benchmark scan config and on that of FOURIER_SCAN, each list as one call.
+  The scan artifacts carry only each rational's ground state; these carry
+  the metastable classes and saddles of every stack too.
 - `beta` with `--cache-dir` at each query rational of the benchmark (the
   Farey set of order QUERY_ORDER): run cold into a fresh cache directory,
   then warm twice, plus that cache tree.  Then the record of CORRUPT_AT gets
@@ -201,9 +206,18 @@ def segment_digests(model, seed: int):
     yield sha(repr(report.worst_improvement)), f"{label} worst_improvement"
 
 
-def class_digests(model, seed: int):
-    """solve_all_starts and enumerate_minimizers at each default-grid loop rational."""
-    from staircase_lab import flatness, solvers, variational
+def point_digests(points, label: str):
+    """Labels, actions, psd flags and positions bytes of a list of critical points."""
+    yield sha(repr([c.label for c in points])), f"{label} labels"
+    yield sha(repr([c.action for c in points])), f"{label} actions"
+    yield sha(repr([c.psd for c in points])), f"{label} psd"
+    yield sha(b"".join(c.positions.tobytes() for c in points)), f"{label} positions"
+
+
+def class_digests(bench, model, seed: int):
+    """solve_all_starts and enumerate_minimizers at each default-grid loop
+    rational, then solve_all_starts_many on the two scan work lists."""
+    from staircase_lab import flatness, scan, solvers, variational
 
     options = solvers.SolveOptions(seed=seed)
     for p0, q0 in LOOP_RATIONALS:
@@ -211,14 +225,17 @@ def class_digests(model, seed: int):
             r = flatness.loop_rational(p0, q0, T)
             p, q = r.numerator, r.denominator
             label = f"classes {p}/{q} seed={seed}"
-            points = solvers.solve_all_starts(model, p, q, options)
-            yield sha(repr([c.label for c in points])), f"{label} labels"
-            yield sha(repr([c.action for c in points])), f"{label} actions"
-            yield sha(repr([c.psd for c in points])), f"{label} psd"
-            yield sha(b"".join(c.positions.tobytes() for c in points)), f"{label} positions"
+            yield from point_digests(solvers.solve_all_starts(model, p, q, options), label)
             found = variational.enumerate_minimizers(model, p, q, starts=max(50, q),
                                                      options=options)
             yield sha(repr(found.multiplicity)), f"{label} multiplicity"
+    for tag, text in (("", bench.SCAN_CONFIG.format(seed=seed, workers=1)),
+                      ("fourier ", FOURIER_SCAN.format(seed=seed))):
+        config = scan.parse_scan_config(text)
+        rationals = scan.work_list(config)
+        stacked = solvers.solve_all_starts_many(config.model, rationals, config.options)
+        for (p, q), points in zip(rationals, stacked):
+            yield from point_digests(points, f"{tag}stacked classes {p}/{q} seed={seed}")
 
 
 def warm_digests(bench, cli, model: Path, seed: int, work: Path):
@@ -271,7 +288,7 @@ def digests(bench, seed: int, work: Path):
     for p, q in LOOP_RATIONALS:
         yield from loop_digests(parse_model(bench.MODEL_TEXT), p, q, "", seed)
     yield from segment_digests(parse_model(bench.MODEL_TEXT), seed)
-    yield from class_digests(parse_model(bench.MODEL_TEXT), seed)
+    yield from class_digests(bench, parse_model(bench.MODEL_TEXT), seed)
     yield from warm_digests(bench, cli, model, seed, work)
 
     tag = "fourier "
