@@ -120,8 +120,6 @@ def _load_config(args, require_scan: bool) -> ScanConfig:
     if args.out_dir:
         updates["out_dir"] = args.out_dir
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         updates["workers"] = args.workers
     if args.seed is not None:
         updates["seed"] = args.seed
@@ -215,6 +213,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         return _COMMANDS[args.command](args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ Linearizing the Euler-Lagrange recursion along an orbit gives 2x2 transfer
 matrices whose ordered product (the monodromy) measures orbit stability: the
 per-step Lyapunov exponent is log of its largest eigenvalue magnitude divided
 by q.  The same data in symmetric form is the second variation, a periodic
-tridiagonal matrix whose smallest eigenvalue is the phonon gap.  The
+tridiagonal matrix whose smallest eigenvalue is the phonon gap.  Both read
+one second variation, the solver's own (PeriodicProblem.hessian_parts).  The
 Peierls-Nabarro barrier is the spread of the pinned minimal action as the
 constrained site sweeps one period.
 """
@@ -35,17 +36,11 @@ class HyperbolicityReport:
     spectrum: np.ndarray | None = field(default=None, repr=False)
 
 
-def _orbit_partials(model: GeneratingModel, config: PeriodicConfiguration):
-    """Per-site d11, d22 and step couplings b_i = d12h(x_i, x_{i+1})."""
-    x = np.asarray(config.positions, dtype=float)
-    nxt = np.roll(x, -1)
-    nxt[-1] += config.p
-    prev = np.roll(x, 1)
-    prev[0] -= config.p
-    d11 = np.asarray(model.d11h(x, nxt), dtype=float)
-    d22 = np.asarray(model.d22h(prev, x), dtype=float)
-    b = np.atleast_1d(np.asarray(model.d12h(x, nxt), dtype=float))
-    return d11, d22, b
+def _second_variation(model: GeneratingModel, config: PeriodicConfiguration):
+    """(diag, off) of the orbit's second variation, off[-1] the corner: the
+    solver's own Hessian parts, the ones certify_psd_periodic_u factorizes."""
+    prob = solvers.PeriodicProblem(model, config.p, config.q)
+    return prob.hessian_parts(prob.from_lift(config.positions))
 
 
 def transfer_matrices(model: GeneratingModel, config: PeriodicConfiguration):
@@ -56,17 +51,11 @@ def transfer_matrices(model: GeneratingModel, config: PeriodicConfiguration):
     D_i = d11h(x_i, x_{i+1}) + d22h(x_{i-1}, x_i) and b_i = d12h(x_i, x_{i+1});
     det M_i = b_{i-1}/b_i telescopes to 1 over a period.
     """
-    d11, d22, b = _orbit_partials(model, config)
+    D, b = _second_variation(model, config)
     if np.any(b == 0.0):
         raise DegenerateTwist("d12h vanishes at an orbit point")
-    q = config.q
-    mats = []
-    for i in range(q):
-        bi = b[i]
-        bim = b[i - 1]  # wraps to b[q-1] at i = 0
-        D = d11[i] + d22[i]
-        mats.append(np.array([[-D / bi, -bim / bi], [1.0, 0.0]]))
-    return mats
+    # b[i - 1] wraps to the corner b[q-1] at i = 0
+    return [np.array([[-D[i] / b[i], -b[i - 1] / b[i]], [1.0, 0.0]]) for i in range(config.q)]
 
 
 _RESCALE_EXP = 448  # the monodromy product is scaled by 2**-448 once max|M| passes 2**448
@@ -85,9 +74,9 @@ def monodromy(model: GeneratingModel, config: PeriodicConfiguration) -> Hyperbol
     """Ordered product of transfer matrices and the per-step Lyapunov exponent.
 
     The determinant is evaluated as the product of the per-matrix determinants
-    b_{i-1}/b_i.  That telescoping form is exact; reading ad - bc off the
-    accumulated product instead would cancel catastrophically once the trace
-    is large (entries ~1e9 leave nothing of a unit determinant in float64).
+    b_{i-1}/b_i = -M_i[0,1].  That telescoping form is exact; reading ad - bc
+    off the accumulated product instead would cancel catastrophically once the
+    trace is large (entries ~1e9 leave no digit of a unit determinant).
     The small eigenvalue is recovered as det/mu_max for the same reason.
 
     The product grows like exp(lambda q), so it is kept as 2**e times M:
@@ -105,8 +94,7 @@ def monodromy(model: GeneratingModel, config: PeriodicConfiguration) -> Hyperbol
             M = np.ldexp(M, -_RESCALE_EXP)
             e += _RESCALE_EXP
     tr = float(M[0, 0] + M[1, 1])
-    _, _, b = _orbit_partials(model, config)
-    det = float(np.prod(np.roll(b, 1) / b))
+    det = float(np.prod([-m[0, 1] for m in mats]))
     det_scaled = math.ldexp(det, -2 * e)
     disc = tr * tr - 4.0 * det_scaled
     if disc >= 0.0:
@@ -136,8 +124,7 @@ def monodromy(model: GeneratingModel, config: PeriodicConfiguration) -> Hyperbol
 
 def second_variation_spectrum(model: GeneratingModel, config: PeriodicConfiguration) -> np.ndarray:
     """Ascending eigenvalues of the periodic tridiagonal second variation."""
-    H = solvers.periodic_hessian_dense(model, config.positions, config.p, config.q)
-    return np.linalg.eigvalsh(H)
+    return np.linalg.eigvalsh(solvers.tridiag_dense(*_second_variation(model, config)))
 
 
 def phonon_gap(model: GeneratingModel, config: PeriodicConfiguration) -> float:

@@ -91,6 +91,8 @@ class GeneratingModel:
         for h in self.harmonics:
             if len(h) != 3 or int(h[0]) < 1:
                 raise ConfigError(f"bad harmonic entry {h!r}")
+            if not (math.isfinite(h[1]) and math.isfinite(h[2])):
+                raise ConfigError(f"harmonic amplitudes must be finite, got {h!r}")
 
     # ---- potential -------------------------------------------------
 

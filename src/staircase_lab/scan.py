@@ -239,6 +239,9 @@ def parse_scan_config(text: str, require_scan: bool = True) -> ScanConfig:
     estimator_q = _parse_int("scan", scan_data, "estimator_q", 0)
     if estimator_q < 0:
         raise ConfigError(f"[scan] estimator_q must be >= 0, got {estimator_q}")
+    if 0 < estimator_q <= q_max:
+        # no rational of a ladder Q >= estimator_q would carry a term
+        raise ConfigError(f"[scan] estimator_q must be 0 or > q_max = {q_max}, got {estimator_q}")
     c_grid = _parse_int("scan", scan_data, "c_grid", 201)
     if c_grid < 2:
         raise ConfigError(f"[scan] c_grid must be >= 2, got {c_grid}")

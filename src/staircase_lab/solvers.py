@@ -77,7 +77,7 @@ One iterate maps a start's state to the next and depends on nothing else
 bit every later state is known: when x_i equals an earlier x_k, the start
 would cycle with period i - k up to max_iter and end on x_j with
 j = k + (max_iter - k) mod (i - k).  It returns x_j, its
-residual and residual < tol at once, which is what running on to max_iter
+residual and residual < _TOL at once, which is what running on to max_iter
 returns.  The cycles seen in practice are full steps at the float noise
 floor, just above the target, so states are recorded from a start's first
 full step on; a start that never takes one runs on as it always did.
@@ -114,13 +114,9 @@ from .model import GeneratingModel
 
 @dataclass(frozen=True)
 class SolveOptions:
-    tol: float = 1e-12
     max_iter: int = 120
     starts: int = 6
-    jitter: float = 0.2
     seed: int = 0
-    psd_shift: float = 1e-8
-    action_tie: float = 1e-9  # per-site action tie tolerance
 
 
 @dataclass
@@ -371,6 +367,8 @@ class PeriodicProblem:
         return math.fsum(terms.tolist())
 
     def hessian_parts(self, u):
+        """(diag, off) of the second variation, off[-1] the corner: the one
+        Hessian the Newton step, the PSD certificate and hyperbolicity read."""
         return self.local(u)[1:]
 
     def from_lift(self, x):
@@ -399,13 +397,6 @@ class PeriodicProblem:
         um = u[(m + i) % q]
         z0 = float(np.mod(u[m] + self.frac[m], 1.0))
         return (um - u[m]) + i * self.rat + z0
-
-
-def periodic_hessian_dense(model, x, p, q):
-    """Second variation on a lift period (small q; hyperbolicity reports)."""
-    x = np.asarray(x, dtype=float)
-    prob = PeriodicProblem(model, p, q)
-    return tridiag_dense(*prob.hessian_parts(prob.from_lift(x)))
 
 
 class PeriodicStack:
@@ -459,6 +450,8 @@ class PeriodicStack:
 # evaluation requests of _newton_start, in the order the batch serves them
 _FALLBACK, _ACTION, _STEP, _LOCAL = range(4)
 
+_TOL = 1e-12  # a start has converged once its gradient's sup norm is below this
+
 
 def _newton_start(x, free, opts):
     """One start of the damped Newton iteration, as a coroutine on its state x.
@@ -471,7 +464,7 @@ def _newton_start(x, free, opts):
     The action of an accepted trial is the next iterate's a0; a full step
     drops it.  Returns (x, residual_sup, ok).
     """
-    target = 0.25 * opts.tol  # margin so re-evaluation stays under tol
+    target = 0.25 * _TOL  # margin so re-evaluation stays under _TOL
     seen = None  # state bytes -> iterate, from the first full step on
     a = None  # the action of x, when a search has evaluated it
     for it in range(opts.max_iter):
@@ -482,7 +475,7 @@ def _newton_start(x, free, opts):
                 # x repeats iterate k, so the loop would cycle with period
                 # it - k until max_iter and end on the state of iterate i
                 i = k + (opts.max_iter - k) % (it - k) - first
-                return np.frombuffer(states[i]).copy(), resids[i], resids[i] < opts.tol
+                return np.frombuffer(states[i]).copy(), resids[i], resids[i] < _TOL
             states.append(key)
         g, diag, off = yield _LOCAL, x
         res = float(np.abs(g).max())
@@ -518,7 +511,7 @@ def _newton_start(x, free, opts):
         else:
             return x, res, False
     res = float(np.abs((yield _LOCAL, x)[0]).max())
-    return x, res, res < opts.tol
+    return x, res, res < _TOL
 
 
 def _damped_newton(x, free, rows, opts):
@@ -695,20 +688,20 @@ def anti_integrable_seed(model, p, q, phase=0.0):
     return minima[pick] + shift[rows, pick]
 
 
+_JITTER = 0.2  # half-width of the uniform per-site jitter of a jittered seed
+
+
 def build_seeds(model, p, q, opts: SolveOptions):
-    seeds = [("integrable", integrable_seed(p, q))]
-    try:
-        seeds.append(("anti-integrable", anti_integrable_seed(model, p, q)))
-        seeds.append(("anti-integrable+half", anti_integrable_seed(model, p, q, 0.5 / q)))
-    except Exception:
-        pass
+    seeds = [("integrable", integrable_seed(p, q)),
+             ("anti-integrable", anti_integrable_seed(model, p, q)),
+             ("anti-integrable+half", anti_integrable_seed(model, p, q, 0.5 / q))]
     n_jitter = max(0, opts.starts - len(seeds))
     if n_jitter:
         ss = np.random.SeedSequence(entropy=opts.seed, spawn_key=(q, p % (2**32), 0x57A1))
         rng = np.random.default_rng(ss)
         for j in range(n_jitter):
             base = integrable_seed(p, q, float(rng.uniform(0.0, 1.0)))
-            seeds.append((f"jitter-{j}", base + rng.uniform(-opts.jitter, opts.jitter, q)))
+            seeds.append((f"jitter-{j}", base + rng.uniform(-_JITTER, _JITTER, q)))
     return seeds
 
 
@@ -733,7 +726,7 @@ def _starts(model, p, q, opts: SolveOptions):
     return prob, labels, U0
 
 
-def _critical_points(prob: PeriodicProblem, labels, solved, opts: SolveOptions):
+def _critical_points(prob: PeriodicProblem, labels, solved):
     """The distinct critical points of the converged starts, by action.
 
     Deduplication is by class_distance within 1e-8, in start order, so the
@@ -746,7 +739,7 @@ def _critical_points(prob: PeriodicProblem, labels, solved, opts: SolveOptions):
         lift = prob.to_lift(u)
         if any(class_distance(lift, c.positions, prob.q, 1e-8) <= 1e-8 for c in found):
             continue
-        psd = certify_psd_periodic_u(prob, u, opts.psd_shift)
+        psd = certify_psd_periodic_u(prob, u)
         found.append(
             CriticalPoint(
                 label=label,
@@ -792,7 +785,7 @@ def solve_all_starts_many(model, rationals, opts: SolveOptions):
         rows = iter(_damped_newton([u0 for j in stack for u0 in starts[j][2]], slice(None),
                                    _PeriodicRows(probs), opts))
         solved.update((j, [next(rows) for _ in starts[j][2]]) for j in stack)
-    return [_critical_points(prob, labels, solved[j], opts)
+    return [_critical_points(prob, labels, solved[j])
             for j, (prob, labels, _) in enumerate(starts)]
 
 

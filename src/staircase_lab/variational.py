@@ -219,6 +219,9 @@ def verify_minimality(
     return MinimalityReport(worst <= tol, worst_witness if worst > tol else None, worst)
 
 
+_ACTION_TIE = 1e-9  # per-site action gap within which two minimizer classes tie
+
+
 def enumerate_minimizers(
     model: GeneratingModel,
     p: int,
@@ -243,7 +246,7 @@ def enumerate_minimizers(
             continue
         classes.append(c)
     amin = min(c.action for c in classes)
-    tie = [c for c in classes if c.action - amin <= opts.action_tie * q]
+    tie = [c for c in classes if c.action - amin <= _ACTION_TIE * q]
     configs = [_to_config(model, p, q, c) for c in classes]
     return MinimizerSet(
         p=p,

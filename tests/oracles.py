@@ -379,7 +379,7 @@ def _newton_periodic_u_loop(prob, u0, opts, dense_max_q):
     """
     u = np.array(u0, dtype=float)
     q = prob.q
-    target = 0.25 * opts.tol  # margin so re-evaluation stays under tol
+    target = 0.25 * solvers._TOL  # margin so re-evaluation stays under _TOL
     res = float(np.abs(periodic_gradient(prob, u)).max())
     for _ in range(opts.max_iter):
         g = periodic_gradient(prob, u)
@@ -418,7 +418,7 @@ def _newton_periodic_u_loop(prob, u0, opts, dense_max_q):
         if not accepted:
             return u, res, False
     res = float(np.abs(periodic_gradient(prob, u)).max())
-    return u, res, res < opts.tol
+    return u, res, res < solvers._TOL
 
 
 def newton_periodic_u_loop(prob, u0, opts):
@@ -445,7 +445,7 @@ def _newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts, fallback):
         raise ValueError("segment needs at least one clamped site per end")
     if hi <= lo:
         return w, 0.0, True
-    target = 0.25 * opts.tol
+    target = 0.25 * solvers._TOL
     for _ in range(opts.max_iter):
         g = segment_gradient(model, w, lo, hi)
         res = float(np.abs(g).max())
@@ -477,7 +477,7 @@ def _newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts, fallback):
             return w, res, False
     g = segment_gradient(model, w, lo, hi)
     res = float(np.abs(g).max())
-    return w, res, res < opts.tol
+    return w, res, res < solvers._TOL
 
 
 def newton_segment_loop(model, w0, n_fix_left, n_fix_right, opts):
@@ -505,7 +505,7 @@ def damped_newton_loop(x, free, gradient, action, hessian_parts, solve, fallback
     kernel and the carried action: every start runs its own loop to max_iter
     and evaluates the action at each search's start.  The callbacks see one
     1-D state."""
-    target = 0.25 * opts.tol
+    target = 0.25 * solvers._TOL
     for _ in range(opts.max_iter):
         g = gradient(x)
         res = float(np.abs(g).max())
@@ -536,7 +536,7 @@ def damped_newton_loop(x, free, gradient, action, hessian_parts, solve, fallback
         if not accepted:
             return x, res, False
     res = float(np.abs(gradient(x)).max())
-    return x, res, res < opts.tol
+    return x, res, res < solvers._TOL
 
 
 # ---- the periodic multistart, one start at a time ------------------------------
@@ -549,7 +549,7 @@ def solve_all_starts_one_at_a_time(model, p, q, opts):
     of _critical_points."""
     prob, labels, U0 = solvers._starts(model, p, q, opts)
     return solvers._critical_points(
-        prob, labels, [solvers.newton_periodic_u(prob, u0, opts) for u0 in U0], opts)
+        prob, labels, [solvers.newton_periodic_u(prob, u0, opts) for u0 in U0])
 
 
 # ---- translate ladder, one site at a time --------------------------------------
@@ -736,7 +736,8 @@ def monodromy_unscaled(model, config):
     for m in mats:
         M = m @ M
     tr = float(M[0, 0] + M[1, 1])
-    _, _, b = hyperbolicity._orbit_partials(model, config)
+    prob = solvers.PeriodicProblem(model, config.p, config.q)
+    _, b = prob.hessian_parts(prob.from_lift(config.positions))
     det = float(np.prod(np.roll(b, 1) / b))
     disc = tr * tr - 4.0 * det
     if disc >= 0.0:

@@ -15,6 +15,7 @@ from staircase_lab.hyperbolicity import (
     transfer_matrices,
 )
 from staircase_lab.model import frenkel_kontorova
+from staircase_lab.solvers import PeriodicProblem, tridiag_dense
 from staircase_lab.variational import minimize_periodic, minimize_periodic_many
 
 from oracles import monodromy_unscaled, pn_barrier_oracle
@@ -39,6 +40,22 @@ def test_transfer_matrix_fixed_point_closed_form():
     cfg = minimize_periodic(m, 0, 1)
     (mat,) = transfer_matrices(m, cfg)
     assert np.allclose(mat, [[2.0 + 8.0 * math.pi**2, -1.0], [1.0, 0.0]], atol=1e-9)
+
+
+def test_transfer_matrices_and_spectrum_read_the_solvers_hessian_parts():
+    # one second variation per orbit: the one the solver builds and the PSD
+    # certificate factorizes, bit for bit, off[-1] the corner
+    m = frenkel_kontorova(2.0)
+    for cfg in minimize_periodic_many(m, [(13, 34), (55, 89)]).values():
+        prob = PeriodicProblem(m, cfg.p, cfg.q)
+        diag, off = prob.hessian_parts(prob.from_lift(cfg.positions))
+        mats = transfer_matrices(m, cfg)
+        assert len(mats) == cfg.q
+        for i, mat in enumerate(mats):
+            want = [[-diag[i] / off[i], -off[i - 1] / off[i]], [1.0, 0.0]]
+            assert np.array_equal(mat, want)
+        want = np.linalg.eigvalsh(tridiag_dense(diag, off))
+        assert np.array_equal(second_variation_spectrum(m, cfg), want)
 
 
 def test_monodromy_integrable_parabolic():

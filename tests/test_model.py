@@ -150,7 +150,7 @@ def test_el_residual_second_difference_form():
 
 
 def test_el_residual_linearization():
-    from staircase_lab.solvers import periodic_hessian_dense
+    from staircase_lab.solvers import PeriodicProblem, tridiag_dense
 
     k, p, q = 0.5, 1, 4
     m = frenkel_kontorova(k)
@@ -160,7 +160,8 @@ def test_el_residual_linearization():
     v = rng.uniform(-1.0, 1.0, q)
     eps = 1e-6
     r = m.el_residual(x + eps * v, p, q)
-    predicted = eps * (periodic_hessian_dense(m, x, p, q) @ v)
+    prob = PeriodicProblem(m, p, q)
+    predicted = eps * (tridiag_dense(*prob.hessian_parts(prob.from_lift(x))) @ v)
     assert np.abs(r - predicted).max() < 1e-9
 
 
@@ -266,3 +267,6 @@ def test_model_file_errors():
         parse_model("[model]\nfamily = no-such-family\nk = 1\n")
     with pytest.raises(ConfigError):
         GeneratingModel(family="frenkel-kontorova", k=-1.0)
+    for amp in ("cos_amp = nan", "sin_amp = inf", "sin_amp = -inf"):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_model(f"[model]\nfamily = fourier-potential\n[harmonic]\norder = 1\n{amp}\n")

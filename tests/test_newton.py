@@ -768,7 +768,7 @@ def every_seed(model, p, q, opts):
     prob = PeriodicProblem(model, p, q)
     seeds = build_seeds(model, p, q, opts)
     solved = [solvers.newton_periodic_u(prob, prob.from_lift(s0), opts) for _, s0 in seeds]
-    return solvers._critical_points(prob, [label for label, _ in seeds], solved, opts)
+    return solvers._critical_points(prob, [label for label, _ in seeds], solved)
 
 
 @pytest.mark.parametrize("source", ["benchmark", "fourier"])

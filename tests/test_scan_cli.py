@@ -134,6 +134,7 @@ def test_parse_defaults():
     "[flatness]\np = 1\n",                                        # flatness without q
     "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nseed = -1\n",
     "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nestimator_q = -3\n",
+    "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nestimator_q = 4\n",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ConfigError):
@@ -482,8 +483,8 @@ def test_batch_failure_reaches_the_serial_pass_as_a_lone_solve(tmp_path, monkeyp
                             [] if (p_, q_) == (p, q) else seeds(model, p_, q_, opts))
     else:
         certify = solvers.certify_psd_periodic_u
-        monkeypatch.setattr(solvers, "certify_psd_periodic_u", lambda prob, u, shift:
-                            (prob.p, prob.q) != (p, q) and certify(prob, u, shift))
+        monkeypatch.setattr(solvers, "certify_psd_periodic_u", lambda prob, u:
+                            (prob.p, prob.q) != (p, q) and certify(prob, u))
     batches = []
     many = sc.minimize_periodic_many
     monkeypatch.setattr(sc, "minimize_periodic_many",
@@ -513,8 +514,8 @@ def test_pool_chunks_match_one_stack(source, seed, bench, digest_tool, pool_chun
     seeds, certify = solvers.build_seeds, solvers.certify_psd_periodic_u
     monkeypatch.setattr(solvers, "build_seeds", lambda model, p, q, opts:
                         [] if (p, q) == (1, 3) else seeds(model, p, q, opts))
-    monkeypatch.setattr(solvers, "certify_psd_periodic_u", lambda prob, u, shift:
-                        (prob.p, prob.q) != (1, 4) and certify(prob, u, shift))
+    monkeypatch.setattr(solvers, "certify_psd_periodic_u", lambda prob, u:
+                        (prob.p, prob.q) != (1, 4) and certify(prob, u))
     text = (bench.SCAN_CONFIG.format(seed=seed, workers=1) if source == "benchmark"
             else digest_tool.FOURIER_SCAN.format(seed=seed))
     config = parse_scan_config(text)
@@ -771,6 +772,22 @@ def test_cli_negative_seed_exits_2(capsys, k0_model_file, tmp_path):
     assert rc == 2
     assert not cache.exists()
     assert "--seed must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_beta_workers_0_exits_2(capsys, k0_model_file):
+    rc = main(["beta", "-p", "1", "-q", "2", "--model", k0_model_file, "--workers", "0"])
+    assert rc == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amp", ["nan", "inf"])
+def test_cli_beta_non_finite_amplitude_exits_2(capsys, tmp_path, amp):
+    model = tmp_path / "bad.model"
+    model.write_text(f"[model]\nfamily = fourier-potential\na = 0.5\n"
+                     f"[harmonic]\norder = 1\ncos_amp = {amp}\n")
+    rc = main(["beta", "-p", "1", "-q", "2", "--model", str(model)])
+    assert rc == 2
+    assert "amplitudes must be finite" in capsys.readouterr().err
 
 
 def test_cli_beta_requires_model(capsys):

@@ -11,8 +11,9 @@ prints one "<sha256>  <label>" line for:
   2 and 3 (its work list solved as one, two and three Newton stacks), plus
   its exit status;
 - the exit code, stdout and stderr of each orbit-analysis command, of
-  probe-kam on the scan config at workers 1 and 2, and of
-  `flatness -p 1 -q 3 --out-dir DIR`, plus the CSV that writes;
+  `hyperbolicity` at DEEP_ORBITS (55/89 and 144/233, where the monodromy
+  product is rescaled), of probe-kam on the scan config at workers 1 and 2,
+  and of `flatness -p 1 -q 3 --out-dir DIR`, plus the CSV that writes;
 - the same for a three-harmonic fourier-potential model (FOURIER_MODEL):
   a q_max = 3 scan at workers 1, `beta` at 1/2 and 2/5, `hyperbolicity`
   and `pn-barrier` at 1/2, and `flatness -p 1 -q 2 --out-dir DIR`.  Its
@@ -114,6 +115,8 @@ rho_hi = 0.7
 
 FOURIER_REQUESTS = (("beta", 1, 2), ("beta", 2, 5), ("hyperbolicity", 1, 2),
                     ("pn-barrier", 1, 2))
+
+DEEP_ORBITS = ((55, 89), (144, 233))  # hyperbolicity past 2**448, on the benchmark model
 
 LOOP_RATIONALS = ((0, 1), (1, 2), (1, 3), (2, 5))
 
@@ -283,8 +286,8 @@ def digests(bench, seed: int, work: Path):
 
     model = work / "model"
     model.write_text(bench.MODEL_TEXT)
-    yield from orbit_digests(bench, cli, model, bench.ORBIT_REQUESTS, (1, 3), "", seed,
-                             work)
+    requests = list(bench.ORBIT_REQUESTS) + [("hyperbolicity", p, q) for p, q in DEEP_ORBITS]
+    yield from orbit_digests(bench, cli, model, requests, (1, 3), "", seed, work)
     for p, q in LOOP_RATIONALS:
         yield from loop_digests(parse_model(bench.MODEL_TEXT), p, q, "", seed)
     yield from segment_digests(parse_model(bench.MODEL_TEXT), seed)
