@@ -92,9 +92,12 @@ def _resolved_cache_dir(args, config_value=None):
 
 
 def _require_model(args):
+    """The --model file's model, once its twist is checked (as scan checks it)."""
     if not args.model:
         raise ConfigError(f"{args.command} requires --model <file>")
-    return load_model(args.model)
+    model = load_model(args.model)
+    model.check_twist()
+    return model
 
 
 def _bind_table(model, args):
@@ -182,7 +185,7 @@ def _cmd_hyperbolicity(args) -> int:
 def _cmd_pn_barrier(args) -> int:
     model = _require_model(args)
     p, q = normalize_rational(args.p, args.q)
-    value = pn_barrier(model, p, q)
+    value = pn_barrier(model, p, q, options=SolveOptions(seed=args.seed or 0))
     print(render_json({"p": p, "q": q, "pn_barrier": value}))
     return 0
 

@@ -10,7 +10,7 @@ class ConfigError(StaircaseLabError):
 
 
 class TwistViolated(StaircaseLabError):
-    """d2h/dx dx' is not strictly negative somewhere on the sample grid."""
+    """d2h/dx dx' is not strictly negative."""
 
 
 class DegenerateTwist(TwistViolated):

@@ -382,7 +382,8 @@ def flatness_curve(model, p: int, q: int, T_list=None, table: BetaTable | None =
             )
         zu = math.nan
         if T in fits:
-            zu = _mapped_loop(model, top.ladder, top.segment, T).action_per_site
+            loop = top if T == fits[-1] else _mapped_loop(model, top.ladder, top.segment, T)
+            zu = loop.action_per_site
         deltas.append(delta)
         u_values.append(u)
         zeta_upper.append(zu)

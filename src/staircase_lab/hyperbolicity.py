@@ -166,19 +166,20 @@ def _pinned_action(model, p, q, s, w_init, opts):
     return solvers.segment_action(model, w), w[1:-1]
 
 
-def pn_barrier(model: GeneratingModel, p: int, q: int, n: int = 16) -> float:
+def pn_barrier(model: GeneratingModel, p: int, q: int, n: int = 16, options=None) -> float:
     """max_s E(s) - min_s E(s) with E the pinned minimal action on the grid s = j/n.
 
     Continuation in s: each solve starts from the previous grid point's
     interior sites.  A forward and a backward sweep are combined pointwise,
     which keeps the result on the global branch across hysteresis loops where
-    local pinned branches exchange stability.
+    local pinned branches exchange stability.  options (SolveOptions) seeds
+    the multistart solve of the unpinned minimizer.
     """
     if n < 16:
         raise ValueError("sweep resolution n must be >= 16")
     if q < 1 or math.gcd(abs(p), q) != 1:
         raise ValueError(f"bad rational {p}/{q}")
-    opts = solvers.SolveOptions()
+    opts = options or solvers.SolveOptions()
     ss = np.arange(n) / n
     if q == 1:
         vals = np.asarray(model.eval_h(ss, ss + p), dtype=float)

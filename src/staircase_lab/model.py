@@ -93,6 +93,16 @@ class GeneratingModel:
                 raise ConfigError(f"bad harmonic entry {h!r}")
             if not (math.isfinite(h[1]) and math.isfinite(h[2])):
                 raise ConfigError(f"harmonic amplitudes must be finite, got {h!r}")
+        # sum (2*pi*n)^2 (|cos_amp| + |sin_amp|) bounds every partial sum of V, V' and V''
+        terms = ((1, self.k, 0.0),) if self.family == "frenkel-kontorova" else self.harmonics
+        try:
+            bound = sum((TWO_PI * int(n)) * (TWO_PI * int(n)) * (abs(ca) + abs(sa))
+                        for n, ca, sa in terms)
+        except OverflowError:  # an order past the float range
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ConfigError("the potential's bound sum (2*pi*n)^2 (|cos_amp| + |sin_amp|) "
+                              "overflows")
 
     # ---- potential -------------------------------------------------
 
@@ -237,20 +247,16 @@ class GeneratingModel:
 
     # ---- contracts ---------------------------------------------------
 
-    def check_twist(self, n: int = 256) -> float:
-        """Sample d12h on an n*n grid over [0,1)^2.
+    def check_twist(self) -> float:
+        """The twist bound: the b with d12h = -1/b.
 
-        Returns the tightest b with d12h <= -1/b on the grid.  Raises
-        TwistViolated when the mixed partial is >= 0 anywhere.
+        d12h is the constant -2a, so one evaluation covers [0,1)^2.  Raises
+        TwistViolated when it is >= 0.
         """
-        xs = np.arange(n) / n
-        g = np.asarray(self.d12h(xs[:, None], xs[None, :]), dtype=float)
-        worst = float(g.max())
-        if worst >= 0.0:
-            raise TwistViolated(
-                f"d12h reaches {worst:.6g} >= 0 on the {n}x{n} sample grid"
-            )
-        return -1.0 / worst
+        d12 = float(self.d12h(0.0, 0.0))
+        if d12 >= 0.0:
+            raise TwistViolated(f"d12h = {d12:.6g} >= 0: the map does not twist")
+        return -1.0 / d12
 
     def standard_map_step(self, x: float, y: float) -> StandardMapStep:
         """(x, y) -> (x + y + k*sin x, y + k*sin x), x reported as lift and mod 2*pi.

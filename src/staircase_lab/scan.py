@@ -246,8 +246,9 @@ def parse_scan_config(text: str, require_scan: bool = True) -> ScanConfig:
     if c_grid < 2:
         raise ConfigError(f"[scan] c_grid must be >= 2, got {c_grid}")
     depth = _parse_int("scan", scan_data, "derivative_depth", DERIVATIVE_DEPTH)
-    if depth < 1:
-        raise ConfigError(f"[scan] derivative_depth must be >= 1, got {depth}")
+    if depth < 2:
+        # BetaTable.one_sided extrapolates from the two deepest secants
+        raise ConfigError(f"[scan] derivative_depth must be >= 2, got {depth}")
     workers = _parse_int("scan", scan_data, "workers", 1)
     if workers < 1:
         raise ConfigError(f"[scan] workers must be >= 1, got {workers}")

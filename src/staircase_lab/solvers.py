@@ -85,10 +85,12 @@ full step on; a start that never takes one runs on as it always did.
 Minimality is certified by Sylvester's law of inertia: H + shift*I is
 positive definite exactly when every LDL^T pivot (LAPACK dpttrf) of the open
 chain is positive and, in the periodic case, so is the Schur complement of
-the last site, which couples to site 0 through the corner.  Critical points
-are deduplicated by class_distance, which compares in full only the index
+the last site, which couples to site 0 through the corner (at q <= 2 the
+couplings fold onto an open chain of q sites).  Critical points are
+deduplicated by class_distance, which compares in full only the index
 shifts that pass two one-site filters: site 0, and the site circularly
-farthest from it, must each come within the threshold.
+farthest from it, must each come within the threshold.  Each distinct one
+is returned as a PeriodicConfiguration.
 
 The periodic problem is solved in displacement coordinates u_i = x_i - i*p/q
 (periodic in i, O(1) magnitude).  Working on the lift directly quantizes
@@ -120,12 +122,32 @@ class SolveOptions:
 
 
 @dataclass
-class CriticalPoint:
-    label: str
-    positions: np.ndarray  # canonical lift period, x0 in [0,1)
-    action: float
+class PeriodicConfiguration:
+    """A critical point of the p/q action, certified or not, and its start's label."""
+
+    p: int
+    q: int
+    positions: np.ndarray  # canonical period, x0 in [0,1)
+    action_total: float
     residual_sup: float
-    psd: bool
+    model_hash: str
+    is_certified_minimal: bool
+    seed_label: str = ""
+
+    @property
+    def rho(self) -> float:
+        return self.p / self.q
+
+    @property
+    def beta(self) -> float:
+        return self.action_total / self.q
+
+    def lift(self, i0: int, i1: int) -> np.ndarray:
+        """Site values x_j for j in [i0, i1] inclusive, via x_{j+q} = x_j + p."""
+        j = np.arange(i0, i1 + 1)
+        m = np.mod(j, self.q)
+        n = (j - m) // self.q
+        return self.positions[m] + n * self.p
 
 
 # ---- linear solves --------------------------------------------------------
@@ -606,26 +628,27 @@ def newton_periodic_u(prob: PeriodicProblem, u0, opts: SolveOptions):
     return _damped_newton([u0], slice(None), _PeriodicRows([prob]), opts)[0]
 
 
-def certify_psd_periodic_u(prob: PeriodicProblem, u, shift=1e-8):
-    """True when H + shift*scale*I is positive definite, scale = max(1, max|H_ii|).
+_PSD_SHIFT = 1e-8  # the periodic certificate tests H + _PSD_SHIFT*scale*I
+
+
+def certify_psd_periodic_u(prob: PeriodicProblem, u):
+    """True when H + _PSD_SHIFT*scale*I is positive definite, scale = max(1, max|H_ii|).
 
     By Sylvester's law of inertia this is the dense Cholesky test: the open
     chain of the first q-1 sites must have positive LDL^T pivots, and the
     Schur complement of site q-1, which couples to site q-2 and through the
-    corner to site 0, must be positive.
+    corner to site 0, must be positive.  At q <= 2 the couplings fold, as in
+    tridiag_dense, onto an open chain of q sites, whose pivots decide.
     """
     diag, off = prob.hessian_parts(u)
     q = prob.q
+    if q == 1:
+        diag, off = diag + off + off, off[:0]
+    elif q == 2:
+        off = off[:1] + off[1:]
+    d = diag + _PSD_SHIFT * max(1.0, float(np.abs(diag).max()))
     if q <= 2:
-        # couplings fold onto the diagonal (q = 1) or one entry (q = 2)
-        H = tridiag_dense(diag, off)
-        scale = max(1.0, float(np.abs(np.diag(H)).max()))
-        try:
-            np.linalg.cholesky(H + shift * scale * np.eye(q))
-            return True
-        except np.linalg.LinAlgError:
-            return False
-    d = diag + shift * max(1.0, float(np.abs(diag).max()))
+        return ldlt_tridiag(d, off) is not None
     factors = ldlt_tridiag(d[:-1], off[: q - 2])
     if factors is None:
         return False
@@ -732,24 +755,18 @@ def _critical_points(prob: PeriodicProblem, labels, solved):
     Deduplication is by class_distance within 1e-8, in start order, so the
     PSD certificate runs once per class.
     """
-    found: list[CriticalPoint] = []
+    found: list[PeriodicConfiguration] = []
     for label, (u, res, ok) in zip(labels, solved):
         if not ok:
             continue
         lift = prob.to_lift(u)
         if any(class_distance(lift, c.positions, prob.q, 1e-8) <= 1e-8 for c in found):
             continue
-        psd = certify_psd_periodic_u(prob, u)
-        found.append(
-            CriticalPoint(
-                label=label,
-                positions=lift,
-                action=prob.action_exact(u),
-                residual_sup=res,
-                psd=psd,
-            )
-        )
-    return sorted(found, key=lambda c: (c.action, tuple(c.positions)))
+        found.append(PeriodicConfiguration(
+            p=prob.p, q=prob.q, positions=lift, action_total=prob.action_exact(u),
+            residual_sup=res, model_hash=prob.model.model_hash,
+            is_certified_minimal=certify_psd_periodic_u(prob, u), seed_label=label))
+    return sorted(found, key=lambda c: (c.action_total, tuple(c.positions)))
 
 
 def solve_all_starts(model, p, q, opts: SolveOptions):
@@ -789,14 +806,14 @@ def solve_all_starts_many(model, rationals, opts: SolveOptions):
             for j, (prob, labels, _) in enumerate(starts)]
 
 
-def best_minimizer(model, p, q, opts: SolveOptions, points=None) -> CriticalPoint:
+def best_minimizer(model, p, q, opts: SolveOptions, points=None) -> PeriodicConfiguration:
     """The least-action certified minimum among points, the critical points of
     p/q (solve_all_starts unless given)."""
     if points is None:
         points = solve_all_starts(model, p, q, opts)
     if not points:
         raise NoConvergence(f"no start converged for p/q = {p}/{q}")
-    minima = [c for c in points if c.psd]
+    minima = [c for c in points if c.is_certified_minimal]
     if not minima:
         raise SaddleOnly(f"only indefinite critical points found for p/q = {p}/{q}")
     return minima[0]

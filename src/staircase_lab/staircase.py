@@ -463,10 +463,7 @@ def hausdorff_estimator(table: BetaTable, nu: float, theta: float, Q: int,
     """Truncated theta-sum; theta = 1 reproduces the variation estimator exactly."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0,1], got {theta}")
-    terms = _estimator_terms(table, nu, Q, q_max)
-    if theta == 1.0:
-        return math.fsum(terms)
-    return math.fsum(t ** theta for t in terms)
+    return math.fsum(t ** theta for t in _estimator_terms(table, nu, Q, q_max))
 
 
 # ---- KAM-regime probes --------------------------------------------------------

@@ -3,7 +3,8 @@
 A (p, q) configuration is one period x_0..x_{q-1} of a lift satisfying
 x_{i+q} = x_i + p.  minimize_periodic certifies the global minimizer by
 multistart Newton plus a positive-semidefiniteness check of the second
-variation; beta(p/q) is the certified action divided by q.
+variation; beta(p/q) is the certified action divided by q.  The record is
+solvers.PeriodicConfiguration (re-exported here), handed on as solved.
 """
 
 from __future__ import annotations
@@ -15,34 +16,7 @@ import numpy as np
 from . import solvers
 from .errors import NoConvergence, SaddleOnly, StaircaseLabError
 from .model import GeneratingModel
-from .solvers import SolveOptions
-
-
-@dataclass
-class PeriodicConfiguration:
-    p: int
-    q: int
-    positions: np.ndarray  # canonical period, x0 in [0,1)
-    action_total: float
-    residual_sup: float
-    model_hash: str
-    is_certified_minimal: bool
-    seed_label: str = ""
-
-    @property
-    def rho(self) -> float:
-        return self.p / self.q
-
-    @property
-    def beta(self) -> float:
-        return self.action_total / self.q
-
-    def lift(self, i0: int, i1: int) -> np.ndarray:
-        """Site values x_j for j in [i0, i1] inclusive, via x_{j+q} = x_j + p."""
-        j = np.arange(i0, i1 + 1)
-        m = np.mod(j, self.q)
-        n = (j - m) // self.q
-        return self.positions[m] + n * self.p
+from .solvers import PeriodicConfiguration, SolveOptions
 
 
 @dataclass
@@ -80,19 +54,6 @@ class GapReport:
     points: np.ndarray
 
 
-def _to_config(model, p, q, cp: solvers.CriticalPoint) -> PeriodicConfiguration:
-    return PeriodicConfiguration(
-        p=p,
-        q=q,
-        positions=cp.positions,
-        action_total=cp.action,
-        residual_sup=cp.residual_sup,
-        model_hash=model.model_hash,
-        is_certified_minimal=cp.psd,
-        seed_label=cp.label,
-    )
-
-
 def minimize_periodic(
     model: GeneratingModel,
     p: int,
@@ -100,9 +61,7 @@ def minimize_periodic(
     options: SolveOptions | None = None,
 ) -> PeriodicConfiguration:
     """Certified (p, q)-periodic minimizer (smallest action over all starts)."""
-    opts = options or SolveOptions()
-    best = solvers.best_minimizer(model, p, q, opts)
-    return _to_config(model, p, q, best)
+    return solvers.best_minimizer(model, p, q, options or SolveOptions())
 
 
 def minimize_periodic_many(
@@ -117,7 +76,7 @@ def minimize_periodic_many(
     out: dict = {}
     for (p, q), points in zip(rationals, solvers.solve_all_starts_many(model, rationals, opts)):
         try:
-            out[(p, q)] = _to_config(model, p, q, solvers.best_minimizer(model, p, q, opts, points))
+            out[(p, q)] = solvers.best_minimizer(model, p, q, opts, points)
         except StaircaseLabError as exc:
             out[(p, q)] = exc
     return out
@@ -234,24 +193,23 @@ def enumerate_minimizers(
         raise ValueError("starts must be at least q")
     opts = replace(options or SolveOptions(), starts=starts)
     points = solvers.solve_all_starts(model, p, q, opts)
-    minima = [c for c in points if c.psd]
+    minima = [c for c in points if c.is_certified_minimal]
     if not minima and points:
         raise SaddleOnly(f"only indefinite critical points found for {p}/{q}")
     if not minima:
         raise NoConvergence(f"no start converged for {p}/{q}")
     # merge classes modulo shift/translation symmetry
-    classes: list[solvers.CriticalPoint] = []
+    classes: list[PeriodicConfiguration] = []
     for c in minima:
         if any(solvers.class_distance(c.positions, k.positions, q, 1e-7) <= 1e-7 for k in classes):
             continue
         classes.append(c)
-    amin = min(c.action for c in classes)
-    tie = [c for c in classes if c.action - amin <= _ACTION_TIE * q]
-    configs = [_to_config(model, p, q, c) for c in classes]
+    amin = min(c.action_total for c in classes)
+    tie = [c for c in classes if c.action_total - amin <= _ACTION_TIE * q]
     return MinimizerSet(
         p=p,
         q=q,
-        configurations=configs,
+        configurations=classes,
         multiplicity=len(classes),
         uniqueness_flag=len(tie) == 1,
         degenerate=len(tie) > 1,

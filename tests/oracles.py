@@ -5,7 +5,9 @@ differences instead of analytic partials, dense grid search plus coordinate
 descent instead of Newton, and direct grid sweeps for barriers.  Slow but
 simple, so the main library can be checked against them.  The last section
 keeps the dense and all-shifts linear-algebra paths that the solver's O(q)
-kernels replaced: dense Cholesky certificates, solve_banded solves, the
+kernels replaced: dense Cholesky certificates (among them the one
+certify_psd_periodic_u made at q <= 2 on its own folded Hessian parts
+before it factorized the open chain there too), solve_banded solves, the
 class comparison over every index shift and the canonical shift's tie-break
 on tuples, and the scalar Sherman-Morrison cyclic solve.  The next section keeps the gradient and Hessian parts of both
 problems composed from the model's partials, as the solver composed them
@@ -276,6 +278,13 @@ def _cholesky_pd(H, shift):
 def cholesky_psd_periodic(prob, u, shift=1e-8):
     """Dense Cholesky of the periodic second variation plus shift*scale*I."""
     return _cholesky_pd(dense_tridiag(*periodic_hessian_parts(prob, u)), shift)
+
+
+def cholesky_psd_folded(prob, u):
+    """The dense Cholesky test certify_psd_periodic_u made at q <= 2: the
+    solver's own Hessian parts, folded by solvers.tridiag_dense, plus
+    1e-8*scale*I."""
+    return _cholesky_pd(solvers.tridiag_dense(*prob.hessian_parts(u)), 1e-8)
 
 
 def cholesky_psd_segment(model, w, n_fix_left, n_fix_right, shift=1e-8):

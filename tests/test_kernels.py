@@ -14,14 +14,17 @@ from staircase_lab.solvers import (
     certify_psd_periodic_u,
     certify_psd_segment,
     class_distance,
+    solve_all_starts,
     solve_cyclic_tridiag_sym,
     solve_tridiag_sym,
+    tridiag_dense,
 )
 
 from oracles import (
     banded_cyclic_solve,
     banded_solve,
     canonical_shift_tuples,
+    cholesky_psd_folded,
     cholesky_psd_periodic,
     cholesky_psd_segment,
     class_distance_all_shifts,
@@ -121,6 +124,79 @@ def test_certificate_on_solved_minimizers():
             prob = PeriodicProblem(model, p, q)
             u = prob.from_lift(best.positions)
             assert certify_psd_periodic_u(prob, u) and cholesky_psd_periodic(prob, u)
+
+
+FOLD_MODELS = {
+    **{f"fk-{k}": frenkel_kontorova(k) for k in (0.0, 0.05, 0.3, 2.0, 5.0)},
+    **{f"fourier-{a}": GeneratingModel(family="fourier-potential", a=a,
+                                       harmonics=((1, -0.3, 0.1), (2, 0.05, -0.04)))
+       for a in (0.0, 0.2, 0.8)},
+}
+FOLD_RATIONALS = [(0, 1), (1, 1), (1, 2), (-1, 2), (3, 2)]
+
+
+def shifted_margin(prob, u):
+    """Smallest eigenvalue of the folded H + 1e-8*scale*I, over scale."""
+    H = tridiag_dense(*prob.hessian_parts(u))
+    scale = scale_of(np.diag(H))
+    return float(np.linalg.eigvalsh(H)[0]) / scale + 1e-8
+
+
+def threshold_pair(prob, inside, outside, rel=1e-6):
+    """Two states on the line from inside (margin > 0) to outside (margin <= 0),
+    bisected until both margins are within rel of 0, on either side of it."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        a, b = (inside + t * (outside - inside) for t in (lo, hi))
+        if shifted_margin(prob, a) <= rel and shifted_margin(prob, b) >= -rel:
+            return a, b
+        mid = 0.5 * (lo + hi)
+        if shifted_margin(prob, inside + mid * (outside - inside)) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("bisection did not reach the threshold")
+
+
+@pytest.mark.parametrize("p,q", FOLD_RATIONALS)
+@pytest.mark.parametrize("name", sorted(FOLD_MODELS))
+def test_folded_certificate_matches_the_dense_cholesky_it_replaced(name, p, q):
+    """At q <= 2 the open-chain pivots decide as the dense Cholesky of the
+    folded matrix did: on random states, on every class the multistart
+    returns (saddles included) and on states within 1e-6 of the threshold."""
+    model = FOLD_MODELS[name]
+    prob = PeriodicProblem(model, p, q)
+    rng = np.random.default_rng([q, p % 7, sorted(FOLD_MODELS).index(name)])
+    states = list(rng.uniform(-0.5, 0.5, (500, q)))
+    points = solve_all_starts(model, p, q, SolveOptions(starts=12))
+    assert points
+    states += [prob.from_lift(c.positions) for c in points]
+    for u in states:
+        assert certify_psd_periodic_u(prob, u) == cholesky_psd_folded(prob, u)
+    inside = [u for u in states if shifted_margin(prob, u) > 1e-6]
+    outside = [u for u in states if shifted_margin(prob, u) < -1e-6]
+    for a, b in list(zip(inside, outside))[:20]:
+        for u in threshold_pair(prob, a, b):
+            want = shifted_margin(prob, u) > 0.0
+            assert certify_psd_periodic_u(prob, u) == cholesky_psd_folded(prob, u) == want
+
+
+def test_best_minimizer_is_minimize_periodics_record():
+    """The solver returns the public record itself, field for field."""
+    from staircase_lab.variational import PeriodicConfiguration, minimize_periodic
+
+    opts = SolveOptions(seed=3)
+    for model in MODELS.values():
+        for p, q in [(0, 1), (1, 2), (2, 5), (5, 13)]:
+            got = best_minimizer(model, p, q, opts)
+            want = minimize_periodic(model, p, q, opts)
+            assert type(got) is PeriodicConfiguration
+            for f in dataclasses.fields(want):
+                g, w = getattr(got, f.name), getattr(want, f.name)
+                if f.name == "positions":
+                    assert g.tobytes() == w.tobytes()
+                else:
+                    assert g == w and type(g) is type(w), f.name
 
 
 # ---- solves -------------------------------------------------------------------

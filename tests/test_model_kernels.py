@@ -71,7 +71,7 @@ INPUTS = {
 
 def pairs():
     """(x, x') for the two-argument kernels: equal shapes, scalar against
-    array either way, and the (n,1)x(1,n) grid of check_twist."""
+    array either way, and an (n,1)x(1,n) grid."""
     for name, x in INPUTS.items():
         yield name, x, x
         yield name + "-vs-scalar", x, 0.1

@@ -130,8 +130,8 @@ def assert_minimizers_match_dense_fallback(text, extra, monkeypatch):
             want = solvers.best_minimizer(config.model, p, q, opts,
                                           solve_all_starts_one_at_a_time(config.model, p, q, opts))
         assert solvers.class_distance(got.positions, want.positions, q, 1e-8) <= 1e-8
-        assert got.psd == want.psd
-        beta, beta_dense = got.action / q, want.action / q
+        assert got.is_certified_minimal == want.is_certified_minimal
+        beta, beta_dense = got.action_total / q, want.action_total / q
         assert abs(beta - beta_dense) <= 1e-12 * max(1.0, abs(beta_dense)), (p, q)
     assert dense.n > 0  # the dense solves did take the dense fallback
 
@@ -639,10 +639,11 @@ def test_periodic_batch_rows_match_single_starts(name, q, max_iter, monkeypatch)
 
 
 def assert_same_points(got, want):
-    assert [c.label for c in got] == [c.label for c in want]
+    assert [c.seed_label for c in got] == [c.seed_label for c in want]
     for c, w in zip(got, want):
         assert c.positions.tobytes() == w.positions.tobytes()
-        assert (c.action, c.residual_sup, c.psd) == (w.action, w.residual_sup, w.psd)
+        assert ((c.action_total, c.residual_sup, c.is_certified_minimal)
+                == (w.action_total, w.residual_sup, w.is_certified_minimal))
 
 
 @pytest.mark.parametrize("seed", [0, 3])

@@ -135,6 +135,7 @@ def test_parse_defaults():
     "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nseed = -1\n",
     "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nestimator_q = -3\n",
     "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nestimator_q = 4\n",
+    "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 3\nderivative_depth = 1\n",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ConfigError):
@@ -788,6 +789,48 @@ def test_cli_beta_non_finite_amplitude_exits_2(capsys, tmp_path, amp):
     rc = main(["beta", "-p", "1", "-q", "2", "--model", str(model)])
     assert rc == 2
     assert "amplitudes must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("harmonics", [
+    [(1, "1e308"), (2, "1e308")],  # each term finite, their V'' bound not
+    [(3, "1e306")],                 # (6 pi)^2 * 1e306 overflows
+    [(10**400, "0.1")],             # an order past the float range
+], ids=["orders-1-2", "order-3", "huge-order"])
+def test_cli_beta_huge_potential_exits_2_without_warnings(capsys, tmp_path, recwarn, harmonics):
+    model = tmp_path / "huge.model"
+    model.write_text("[model]\nfamily = fourier-potential\na = 0.5\n" + "".join(
+        f"[harmonic]\norder = {n}\ncos_amp = {amp}\n" for n, amp in harmonics))
+    cache = tmp_path / "cache"
+    rc = main(["beta", "-p", "1", "-q", "2", "--model", str(model), "--cache-dir", str(cache)])
+    assert rc == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not cache.exists()
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("command", ["beta", "hyperbolicity", "flatness", "pn-barrier"])
+def test_cli_one_shot_commands_check_the_twist(capsys, tmp_path, command):
+    model = tmp_path / "antitwist.model"
+    model.write_text("[model]\nfamily = fourier-potential\na = -0.5\n"
+                     "[harmonic]\norder = 1\ncos_amp = -0.3\n")
+    rc = main([command, "-p", "1", "-q", "2", "--model", str(model)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d12h = 1 >= 0" in captured.err
+
+
+def test_cli_pn_barrier_passes_its_seed(capsys, model_file, monkeypatch):
+    from staircase_lab import solvers
+
+    seeds = []
+    best = solvers.best_minimizer
+    monkeypatch.setattr(solvers, "best_minimizer", lambda model, p, q, opts, *rest:
+                        seeds.append(opts.seed) or best(model, p, q, opts, *rest))
+    rc = main(["pn-barrier", "-p", "1", "-q", "2", "--model", model_file, "--seed", "3"])
+    assert rc == 0
+    assert seeds == [3]
+    assert json.loads(capsys.readouterr().out)["pn_barrier"] > 1.0
 
 
 def test_cli_beta_requires_model(capsys):

@@ -211,9 +211,9 @@ def segment_digests(model, seed: int):
 
 def point_digests(points, label: str):
     """Labels, actions, psd flags and positions bytes of a list of critical points."""
-    yield sha(repr([c.label for c in points])), f"{label} labels"
-    yield sha(repr([c.action for c in points])), f"{label} actions"
-    yield sha(repr([c.psd for c in points])), f"{label} psd"
+    yield sha(repr([c.seed_label for c in points])), f"{label} labels"
+    yield sha(repr([c.action_total for c in points])), f"{label} actions"
+    yield sha(repr([c.is_certified_minimal for c in points])), f"{label} psd"
     yield sha(b"".join(c.positions.tobytes() for c in points)), f"{label} positions"
 
 
