@@ -36,7 +36,15 @@ from .flatness import (
     heteroclinic_segment,
 )
 from .cache import BetaCache, cache_get, cache_put
-from .scan import ScanConfig, load_scan_config, parse_scan_config, run_scan
+
+
+def __getattr__(name):
+    # staircase_lab.scan loads LAPACK, which a warm query never needs
+    if name in ("ScanConfig", "load_scan_config", "parse_scan_config", "run_scan"):
+        from . import scan
+
+        return getattr(scan, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "GeneratingModel",

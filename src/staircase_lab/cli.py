@@ -20,15 +20,6 @@ from .errors import ConfigError, StaircaseLabError
 from .flatness import flatness_curve
 from .hyperbolicity import full_report, pn_barrier
 from .model import load_model
-from .scan import (
-    ScanConfig,
-    flatness_record,
-    parse_scan_config,
-    probe_kam,
-    run_scan,
-    write_flatness_csv,
-    write_report,
-)
 from .solvers import SolveOptions
 from .staircase import BetaTable, normalize_rational
 from .variational import minimize_periodic
@@ -107,7 +98,10 @@ def _bind_table(model, args):
     return BetaTable.bind(model, cache=cache, options=options), options
 
 
-def _load_config(args, require_scan: bool) -> ScanConfig:
+def _load_config(args, require_scan: bool):
+    """The config file's ScanConfig, with the command line's overrides."""
+    from .scan import parse_scan_config
+
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -130,6 +124,8 @@ def _load_config(args, require_scan: bool) -> ScanConfig:
 
 
 def _cmd_scan(args) -> int:
+    from .scan import run_scan
+
     config = _load_config(args, require_scan=True)
     code, report = run_scan(config)
     if "error" in report:
@@ -156,6 +152,8 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_flatness(args) -> int:
+    from .scan import flatness_record, write_flatness_csv
+
     model = _require_model(args)
     table, options = _bind_table(model, args)
     curve = flatness_curve(model, args.p, args.q, table=table, options=options)
@@ -191,6 +189,8 @@ def _cmd_pn_barrier(args) -> int:
 
 
 def _cmd_probe_kam(args) -> int:
+    from .scan import probe_kam, write_report
+
     report = probe_kam(_load_config(args, require_scan=False))
     if args.out_dir:
         out = Path(args.out_dir)

@@ -51,11 +51,14 @@ def transfer_matrices(model: GeneratingModel, config: PeriodicConfiguration):
     D_i = d11h(x_i, x_{i+1}) + d22h(x_{i-1}, x_i) and b_i = d12h(x_i, x_{i+1});
     det M_i = b_{i-1}/b_i telescopes to 1 over a period.
     """
-    D, b = _second_variation(model, config)
+    return _transfer_matrices(*_second_variation(model, config))
+
+
+def _transfer_matrices(D, b):
     if np.any(b == 0.0):
         raise DegenerateTwist("d12h vanishes at an orbit point")
     # b[i - 1] wraps to the corner b[q-1] at i = 0
-    return [np.array([[-D[i] / b[i], -b[i - 1] / b[i]], [1.0, 0.0]]) for i in range(config.q)]
+    return [np.array([[-D[i] / b[i], -b[i - 1] / b[i]], [1.0, 0.0]]) for i in range(len(D))]
 
 
 _RESCALE_EXP = 448  # the monodromy product is scaled by 2**-448 once max|M| passes 2**448
@@ -85,7 +88,11 @@ def monodromy(model: GeneratingModel, config: PeriodicConfiguration) -> Hyperbol
     trace and the eigenvalues are scaled back and read inf only where they
     overflow.  Nothing is rescaled at q <= 34 on FK k <= 2.
     """
-    mats = transfer_matrices(model, config)
+    return _monodromy(config, _second_variation(model, config))
+
+
+def _monodromy(config: PeriodicConfiguration, parts) -> HyperbolicityReport:
+    mats = _transfer_matrices(*parts)
     M = np.eye(2)
     e = 0
     for m in mats:
@@ -124,7 +131,11 @@ def monodromy(model: GeneratingModel, config: PeriodicConfiguration) -> Hyperbol
 
 def second_variation_spectrum(model: GeneratingModel, config: PeriodicConfiguration) -> np.ndarray:
     """Ascending eigenvalues of the periodic tridiagonal second variation."""
-    return np.linalg.eigvalsh(solvers.tridiag_dense(*_second_variation(model, config)))
+    return _spectrum(_second_variation(model, config))
+
+
+def _spectrum(parts) -> np.ndarray:
+    return np.linalg.eigvalsh(solvers.tridiag_dense(*parts))
 
 
 def phonon_gap(model: GeneratingModel, config: PeriodicConfiguration) -> float:
@@ -136,13 +147,17 @@ def full_report(
     config: PeriodicConfiguration,
     sweep_n: int = 16,
     with_barrier: bool = True,
+    options=None,
 ) -> HyperbolicityReport:
-    rep = monodromy(model, config)
-    spec = second_variation_spectrum(model, config)
+    """monodromy and the spectrum from one second variation, and with_barrier
+    the pn_barrier of n = sweep_n, whose base minimizer options seeds."""
+    parts = _second_variation(model, config)
+    rep = _monodromy(config, parts)
+    spec = _spectrum(parts)
     rep.spectrum = spec
     rep.phonon_gap = float(spec[0])
     if with_barrier:
-        rep.pn_barrier = pn_barrier(model, config.p, config.q, sweep_n)
+        rep.pn_barrier = pn_barrier(model, config.p, config.q, sweep_n, options=options)
     return rep
 
 

@@ -23,6 +23,9 @@ flatness, then probes and ac-part (probe_stages).  probe_kam runs the grid,
 window, staircase and probe stages in that order.  Every stage after the
 grid runs through _attempt, which records a StaircaseLabError as a failure
 instead of aborting the run.
+
+Importing this module loads LAPACK (solvers.lapack), which every scan needs;
+the command line imports it only in the commands that use it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .cache import BetaCache, render_json
 from .errors import ConfigError, InsufficientSamples, StaircaseLabError
 from .flatness import flatness_bound, flatness_curve, loop_rational, loop_t_grid
 from .model import GeneratingModel, model_from_sections, parse_float, parse_sections
-from .solvers import SolveOptions
+from .solvers import SolveOptions, lapack
 from .staircase import (
     DERIVATIVE_DEPTH,
     BetaTable,
@@ -59,6 +62,9 @@ from .staircase import (
     variation_estimator,
 )
 from .variational import minimize_periodic_many
+
+# A scan always solves: load LAPACK now, not in its first pass or in each forked worker.
+lapack()
 
 _SCAN_KEYS = {
     "q_max",

@@ -18,6 +18,10 @@ differs between the problems:
   Hessian is tridiagonal (dgtsv), the fallback the same shifted solve on the
   open chain.  newton_segment_starts runs many starts of one problem together.
 
+The LAPACK routines (dgtsv, dpttrf, dpttrs) come from scipy.linalg.lapack,
+which lapack() imports on the first call of one, not at import time: a
+warm-cache query never solves, and so never loads scipy.
+
 Each start is one coroutine, _newton_start: the plain damped Newton loop on
 its own state, which yields whenever it needs an evaluation and receives the
 value.  There are four request kinds:
@@ -104,11 +108,11 @@ bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .errors import NoConvergence, SaddleOnly
 from .model import GeneratingModel
@@ -151,6 +155,27 @@ class PeriodicConfiguration:
 
 
 # ---- linear solves --------------------------------------------------------
+
+
+@functools.cache
+def lapack():
+    """scipy.linalg.lapack, imported by the first solve that needs it."""
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack
+
+
+# The solves look these up by name in this module, so a test can replace one.
+def dgtsv(dl, d, du, b):
+    return lapack().dgtsv(dl, d, du, b)
+
+
+def dpttrf(d, e):
+    return lapack().dpttrf(d, e)
+
+
+def dpttrs(d, e, b):
+    return lapack().dpttrs(d, e, b)
 
 
 def tridiag_dense(diag, off):

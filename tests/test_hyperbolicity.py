@@ -14,8 +14,9 @@ from staircase_lab.hyperbolicity import (
     second_variation_spectrum,
     transfer_matrices,
 )
+from staircase_lab import solvers
 from staircase_lab.model import frenkel_kontorova
-from staircase_lab.solvers import PeriodicProblem, tridiag_dense
+from staircase_lab.solvers import PeriodicProblem, SolveOptions, tridiag_dense
 from staircase_lab.variational import minimize_periodic, minimize_periodic_many
 
 from oracles import monodromy_unscaled, pn_barrier_oracle
@@ -190,3 +191,36 @@ def test_full_report_fields():
     assert rep.pn_barrier > 0.0
     assert abs(rep.det - 1.0) < 1e-12
     assert rep.spectrum is not None and len(rep.spectrum) == 2
+
+
+def test_full_report_builds_one_second_variation(monkeypatch):
+    # its monodromy and spectrum are the separate calls' values, bit for bit,
+    # read off one hessian_parts pass
+    m = frenkel_kontorova(2.0)
+    configs = [minimize_periodic(m, 0, 1), minimize_periodic(m, 1, 2),
+               *minimize_periodic_many(m, [(13, 34), (55, 89)]).values()]
+    calls = []
+    parts = PeriodicProblem.hessian_parts
+    monkeypatch.setattr(PeriodicProblem, "hessian_parts",
+                        lambda self, u: calls.append(self.q) or parts(self, u))
+    for cfg in configs:
+        calls.clear()
+        rep = full_report(m, cfg, with_barrier=False)
+        assert calls == [cfg.q]
+        mono, spec = monodromy(m, cfg), second_variation_spectrum(m, cfg)
+        assert (rep.trace, rep.det, rep.lyapunov) == (mono.trace, mono.det, mono.lyapunov)
+        assert rep.eigenvalues == mono.eigenvalues
+        assert np.array_equal(rep.spectrum, spec) and rep.phonon_gap == spec[0]
+
+
+def test_full_report_seeds_its_barrier(monkeypatch):
+    m = frenkel_kontorova(2.0)
+    opts = SolveOptions(seed=3)
+    cfg = minimize_periodic(m, 1, 2, opts)
+    seeds = []
+    best = solvers.best_minimizer
+    monkeypatch.setattr(solvers, "best_minimizer", lambda model, p, q, o, *rest:
+                        seeds.append(o.seed) or best(model, p, q, o, *rest))
+    rep = full_report(m, cfg, options=opts)
+    assert seeds == [3]
+    assert rep.pn_barrier == pn_barrier(m, 1, 2, options=opts)

@@ -989,18 +989,91 @@ def test_cli_flag_beats_env_var(tmp_path, monkeypatch, capsys, k0_model_file):
     assert flag_cache.exists() and not env_cache.exists()
 
 
+def package_env():
+    """The environment that runs the package under test, not whichever copy is installed."""
+    src = str(Path(staircase_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_entry_point(tmp_path):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("[model]\nfamily = frenkel-kontorova\nk = 0.0\n"
                    "[scan]\nq_max = 3\nc_grid = 11\n")
     out = tmp_path / "out"
-    # run the package under test, not whichever copy is installed
-    src = str(Path(staircase_lab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "staircase_lab.cli", "scan", str(cfg),
          "--out-dir", str(out)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").exists()
+
+
+def run_fresh(code):
+    """The last stdout line, read as JSON, of `python -c code` in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = """
+import contextlib, io, json, sys
+def loaded():
+    return [m for m in ("scipy", "scipy.linalg", "staircase_lab.scan") if m in sys.modules]
+"""
+
+
+def test_warm_query_help_and_config_error_load_no_scipy(tmp_path, capsys, k0_model_file):
+    beta = ["beta", "-p", "1", "-q", "3", "--model", k0_model_file,
+            "--cache-dir", str(tmp_path / "cache")]
+    assert main(beta) == 0
+    cold = capsys.readouterr().out
+    seen = run_fresh(LOADED + f"""
+from staircase_lab import cli
+seen = {{"import": loaded()}}
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.main(["--help"])
+    except SystemExit:
+        pass
+    seen["help"] = loaded()
+    seen["config error"] = [cli.main(["beta", "-p", "1", "-q", "3"]), loaded()]
+    seen["warm beta"] = [cli.main({beta!r}), loaded()]
+seen["out"] = out.getvalue()
+print(json.dumps(seen))
+""")
+    assert seen.pop("out").endswith(cold)
+    assert seen == {"import": [], "help": [], "config error": [2, []], "warm beta": [0, []]}
+
+
+@pytest.mark.parametrize("code, want", [
+    ("import staircase_lab.scan", ["scipy", "scipy.linalg", "staircase_lab.scan"]),
+    ("from staircase_lab import cli\n"
+     "with contextlib.redirect_stdout(io.StringIO()):\n"
+     "    assert cli.main(['beta', '-p', '1', '-q', '3', '--model', {model!r}]) == 0",
+     ["scipy", "scipy.linalg"]),
+])
+def test_first_solve_or_scan_import_loads_lapack(k0_model_file, code, want):
+    code = code.format(model=k0_model_file)
+    assert run_fresh(LOADED + code + "\nprint(json.dumps(loaded()))") == want
+
+
+def test_package_resolves_the_scan_names():
+    # star import first, so the package's module __getattr__ imports scan
+    seen = run_fresh("""
+import json
+ns = {}
+exec("from staircase_lab import *", ns)
+import staircase_lab
+from staircase_lab import scan
+names = ("ScanConfig", "load_scan_config", "parse_scan_config", "run_scan")
+print(json.dumps({
+    "unbound": sorted(set(staircase_lab.__all__) - set(ns)),
+    "same": [ns[n] is getattr(staircase_lab, n) is getattr(scan, n) for n in names],
+    "unknown": hasattr(staircase_lab, "no_such_name"),
+}))
+""")
+    assert seen == {"unbound": [], "same": [True] * 4, "unknown": False}

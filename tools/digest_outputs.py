@@ -50,6 +50,10 @@ prints one "<sha256>  <label>" line for:
   a flipped digit (the leading digit of its first position, a change that
   any checksum check rejects), and the query that quarantines and
   recomputes it, plus the tree it leaves, are digested too.
+- the exit code, stdout and stderr of `python -m staircase_lab.cli` run as a
+  fresh interpreter, the console-script path the in-process calls above
+  never take: a warm `beta -p 2 -q 5` on a cache filled in-process,
+  `--help`, and `beta` without `--model` (exit 2).
 
 BLAS is pinned to one thread and STAIRCASE_LAB_CACHE is ignored, as in the
 benchmark.  Everything is written to a temporary directory.
@@ -61,6 +65,8 @@ import argparse
 import dataclasses
 import hashlib
 import importlib.util
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -267,6 +273,23 @@ def warm_digests(bench, cli, model: Path, seed: int, work: Path):
     yield from tree_digests(label, cache)
 
 
+def shell_digests(bench, cli, model: Path, seed: int, work: Path):
+    """A warm beta at 2/5, --help and a beta without --model, each as
+    `python -m staircase_lab.cli` in a fresh interpreter."""
+    beta = ["beta", "-p", "2", "-q", "5", "--seed", str(seed)]
+    warm = beta + ["--model", str(model), "--cache-dir", str(work / f"shell-{seed}")]
+    bench.call_cli(cli, warm)
+    env = dict(os.environ, PYTHONPATH=str(bench.SRC))
+    for label, argv in (("shell beta 2/5 warm", warm), ("shell --help", ["--help"]),
+                        ("shell beta 2/5 without --model", beta)):
+        proc = subprocess.run([sys.executable, "-m", "staircase_lab.cli", *argv],
+                              capture_output=True, env=env)
+        label = f"{label} seed={seed}"
+        yield sha(str(proc.returncode)), f"{label} exit"
+        yield sha(proc.stdout), f"{label} stdout"
+        yield sha(proc.stderr), f"{label} stderr"
+
+
 def digests(bench, seed: int, work: Path):
     from staircase_lab import cli, parse_model, scan
 
@@ -293,6 +316,7 @@ def digests(bench, seed: int, work: Path):
     yield from segment_digests(parse_model(bench.MODEL_TEXT), seed)
     yield from class_digests(bench, parse_model(bench.MODEL_TEXT), seed)
     yield from warm_digests(bench, cli, model, seed, work)
+    yield from shell_digests(bench, cli, model, seed, work)
 
     tag = "fourier "
     yield from scan_digests(scan, FOURIER_SCAN.format(seed=seed),
