@@ -1,9 +1,10 @@
 """Command line front end: the scan driver plus one-shot inspection commands.
 
 Every subcommand accepts --model, --cache-dir, --out-dir, --workers and
---seed.  The cache directory resolves flag first, then the environment
-variable STAIRCASE_LAB_CACHE, then the config file.  Config problems exit
-with status 2 before any artifact is written; computational failures exit 1.
+--seed; only scan and probe-kam use --workers.  The cache directory resolves
+flag first, then the environment variable STAIRCASE_LAB_CACHE, then the
+config file.  Config problems exit with status 2 before any artifact is
+written; computational failures exit 1.
 """
 
 from __future__ import annotations
@@ -91,11 +92,9 @@ def _require_model(args):
     return model
 
 
-def _bind_table(model, args):
+def _cache_and_options(args):
     cache_dir = _resolved_cache_dir(args)
-    cache = BetaCache(cache_dir) if cache_dir else None
-    options = SolveOptions(seed=args.seed or 0)
-    return BetaTable.bind(model, cache=cache, options=options), options
+    return BetaCache(cache_dir) if cache_dir else None, SolveOptions(seed=args.seed or 0)
 
 
 def _load_config(args, require_scan: bool):
@@ -140,7 +139,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_beta(args) -> int:
     model = _require_model(args)
-    table, _ = _bind_table(model, args)
+    cache, options = _cache_and_options(args)
+    table = BetaTable.bind(model, cache=cache, options=options)
     p, q = normalize_rational(args.p, args.q)
     beta = table.beta(p, q)
     cm, cp, width = table.one_sided(p, q)
@@ -152,10 +152,13 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_flatness(args) -> int:
-    from .scan import flatness_record, write_flatness_csv
+    from .scan import flatness_rationals, flatness_record, pool_solves, write_flatness_csv
 
     model = _require_model(args)
-    table, options = _bind_table(model, args)
+    rationals = flatness_rationals(args.p, args.q)
+    cache, options = _cache_and_options(args)
+    pooled = pool_solves(model, options, cache, rationals, 1)
+    table = BetaTable.bind(model, cache=cache, options=options, pooled=pooled)
     curve = flatness_curve(model, args.p, args.q, table=table, options=options)
     if args.out_dir:
         out = Path(args.out_dir)
@@ -218,6 +221,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.workers is not None and args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        if getattr(args, "q", None) == 0:
+            raise ConfigError("-q must be nonzero")
         return _COMMANDS[args.command](args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import hyperbolicity, solvers, variational
-from .errors import DegenerateFamily, NegativeU, NoConvergence
+from .errors import ConfigError, DegenerateFamily, NegativeU, NoConvergence
 from .staircase import BetaTable, normalize_rational
 
 PHONON_GAP_FLOOR = 1e-6
@@ -194,9 +194,14 @@ def heteroclinic_segment(model, p: int, q: int, gap: int, T: int,
 
 def loop_t_grid(q: int, T_list=None) -> list[int]:
     """The sorted, distinct T of a flatness curve (default: DEFAULT_T_GRID
-    within the loop site cap)."""
+    within the loop site cap; a ConfigError past q = 1024, where none fits)."""
     if T_list is None:
         T_list = [T for T in DEFAULT_T_GRID if 2 * T * q <= MAX_LOOP_SITES]
+        if not T_list:
+            raise ConfigError(
+                f"flatness at q = {q}: no T of the default t_grid {list(DEFAULT_T_GRID)} "
+                f"keeps a loop of 2*T*q sites within the {MAX_LOOP_SITES}-site cap; "
+                "a [flatness] block can give its own t_grid")
     T_list = sorted(set(int(T) for T in T_list))
     if not T_list or T_list[0] < 1:
         raise ValueError("T grid must contain positive integers")

@@ -12,10 +12,12 @@ count: one Newton stack per chunk of `workers` chunks, in-process at one
 worker.  The results stay in memory and the serial pass takes them on its
 cache misses instead of solving.  Only the adaptive refinement of a flatness
 slope and the one configuration a flatness curve builds its loops on are
-solved in the serial pass.  With a fixed seed two runs of one config text
-produce byte-identical artifacts and cache records at any worker count set
-on top of that text (--workers), and a warm cache changes nothing but the
-wall time; report.json's config_digest hashes the text, workers line and all.
+solved in the serial pass.  The one-shot flatness command solves its
+target's flatness_rationals the same way, in-process.  With a fixed seed
+two runs of one config text produce byte-identical artifacts and cache
+records at any worker count set on top of that text (--workers), and a warm
+cache changes nothing but the wall time; report.json's config_digest hashes
+the text, workers line and all.
 
 This module alone knows the stage order: grid (grid_table), window
 (cohomology_window), locking, estimators, staircase (staircase_stage),
@@ -192,6 +194,7 @@ def parse_scan_config(text: str, require_scan: bool = True) -> ScanConfig:
             grid = _parse_list("flatness", data, "t_grid", int)
             if grid and any(t < 1 for t in grid):
                 raise ConfigError(f"[flatness] t_grid entries must be positive: {grid}")
+            loop_t_grid(normalize_rational(p, q)[1], grid or None)  # no default T past q = 1024
             flatness_targets.append(FlatnessTarget(p, q, grid or None))
         elif name == "probe":
             unknown = set(data) - _PROBE_KEYS
@@ -343,15 +346,26 @@ def probe_rationals(config: ScanConfig) -> list[tuple[int, int]]:
     return _sorted_pairs(rats)
 
 
+def flatness_rationals(p: int, q: int, t_grid=None) -> list[tuple[int, int]]:
+    """The rationals whose beta flatness_curve at p/q reads before its
+    adaptive refinement: p/q, the mediants of its first refinement step and
+    its loop rationals (loop_t_grid: a ConfigError if no default T fits)."""
+    p, q = normalize_rational(p, q)
+    rats: set[Fraction] = set()
+    _with_secants(rats, p, q)
+    rats.update(loop_rational(p, q, T) for T in loop_t_grid(q, t_grid))
+    return _sorted_pairs(rats)
+
+
 def work_list(config: ScanConfig) -> list[tuple[int, int]]:
     """Every rational the scan solves that no earlier result decides.
 
     The grid and its mediant chains; for each ladder Q and estimator term p/q,
     p/q with the mediants its one-sided slope reads and its shifted rational
     for each nu; the probe convergents; and for each flatness target, p/q with
-    the mediants of its first refinement step and its loop rationals.  The
-    deeper refinement mediants, which depend on the bracket widths, are left
-    to the serial pass.
+    the mediants of its first refinement step and its loop rationals
+    (flatness_rationals).  The deeper refinement mediants, which depend on
+    the bracket widths, are left to the serial pass.
     """
     rats = {Fraction(p, q) for p, q in scan_rationals(config) + probe_rationals(config)}
     if config.nus:
@@ -360,9 +374,8 @@ def work_list(config: ScanConfig) -> list[tuple[int, int]]:
                 _with_secants(rats, p, q)
                 rats.update(shifted_rational(p, q, nu) for nu in config.nus)
     for target in config.flatness_targets:
-        p, q = normalize_rational(target.p, target.q)
-        _with_secants(rats, p, q)
-        rats.update(loop_rational(p, q, T) for T in loop_t_grid(q, target.t_grid))
+        rats.update(Fraction(p, q) for p, q in
+                    flatness_rationals(target.p, target.q, target.t_grid))
     return _sorted_pairs(rats)
 
 
@@ -375,8 +388,10 @@ def _chunks(todo, n: int) -> list[list[tuple[int, int]]]:
     return chunks
 
 
-def pool_solves(config: ScanConfig, cache: BetaCache | None, rationals) -> dict:
-    """Solves the rationals without a cache record ahead of the serial pass.
+def pool_solves(model: GeneratingModel, options: SolveOptions, cache: BetaCache | None,
+                rationals, workers: int) -> dict:
+    """Solves the rationals without a cache record ahead of the serial pass
+    (of grid_table, and of the flatness command at one worker).
 
     Returns {(p, q): configuration or typed error} for BetaTable.bind(...,
     pooled=...).  Every worker count runs the same stacked solve: `workers`
@@ -389,14 +404,14 @@ def pool_solves(config: ScanConfig, cache: BetaCache | None, rationals) -> dict:
     instead of being solved again.
     """
     todo = [(p, q) for p, q in rationals
-            if cache is None or not cache.record_path(config.model.model_hash, p, q).exists()]
+            if cache is None or not cache.record_path(model.model_hash, p, q).exists()]
     if len(todo) < 2:
         return {}
-    chunks = _chunks(todo, config.workers)
+    chunks = _chunks(todo, workers)
     if len(chunks) == 1:
-        return minimize_periodic_many(config.model, chunks[0], config.options)
+        return minimize_periodic_many(model, chunks[0], options)
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(minimize_periodic_many, config.model, chunk, config.options)
+        futures = [pool.submit(minimize_periodic_many, model, chunk, options)
                    for chunk in chunks]
         return {r: solved for fut in futures for r, solved in fut.result().items()}
 
@@ -497,7 +512,7 @@ def grid_table(config: ScanConfig, cache: BetaCache | None, rationals):
     """(table, failures) after the twist check, pool_solves of the rationals
     and fill_table over scan_rationals."""
     config.model.check_twist()
-    pooled = pool_solves(config, cache, rationals)
+    pooled = pool_solves(config.model, config.options, cache, rationals, config.workers)
     table = BetaTable.bind(config.model, config.h_lo, config.h_hi, cache=cache,
                            options=config.options, pooled=pooled)
     failures: list[dict] = []

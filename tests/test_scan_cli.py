@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,21 @@ import staircase_lab
 from staircase_lab import __version__
 from staircase_lab import scan as sc
 from staircase_lab import cli
+from staircase_lab.cache import BetaCache, render_json
 from staircase_lab.cli import main
 from staircase_lab.errors import ConfigError, NoConvergence, NonconvexTerm
+from staircase_lab.flatness import flatness_curve, loop_rational, loop_t_grid
+from staircase_lab.model import load_model
 from staircase_lab.scan import parse_scan_config, run_scan
-from staircase_lab.staircase import DERIVATIVE_DEPTH, mediant_chain, shifted_rational
+from staircase_lab.solvers import SolveOptions
+from staircase_lab.staircase import (
+    DERIVATIVE_DEPTH,
+    BetaTable,
+    estimator_rationals,
+    mediant_chain,
+    normalize_rational,
+    shifted_rational,
+)
 
 K0_TEXT = """
 [model]
@@ -399,6 +411,32 @@ def test_work_list_is_what_the_serial_scan_solves(tmp_path, monkeypatch):
     assert solved - listed and solved - listed <= deeper
 
 
+def work_list_before_flatness_rationals(config):
+    """scan.work_list as it was before it took each flatness target's
+    rationals from scan.flatness_rationals, line for line."""
+    rats = {Fraction(p, q) for p, q in sc.scan_rationals(config) + sc.probe_rationals(config)}
+    if config.nus:
+        for Q in sc._dyadic_ladder(config.q_max):
+            for p, q in estimator_rationals(Q, config.estimator_q):
+                sc._with_secants(rats, p, q)
+                rats.update(shifted_rational(p, q, nu) for nu in config.nus)
+    for target in config.flatness_targets:
+        p, q = normalize_rational(target.p, target.q)
+        sc._with_secants(rats, p, q)
+        rats.update(loop_rational(p, q, T) for T in loop_t_grid(q, target.t_grid))
+    return sc._sorted_pairs(rats)
+
+
+@pytest.mark.parametrize("source", ["benchmark", "fourier", "pool"])
+def test_work_list_is_unchanged_by_flatness_rationals(source, bench, digest_tool):
+    text = {"benchmark": bench.SCAN_CONFIG.format(seed=0, workers=1),
+            "fourier": digest_tool.FOURIER_SCAN.format(seed=0),
+            "pool": POOL_TEXT}[source]
+    config = parse_scan_config(text)
+    assert config.flatness_targets
+    assert sc.work_list(config) == work_list_before_flatness_rationals(config)
+
+
 def _identical_at_one_and_two_workers(tmp_path, pool_submits, text, monkeypatch):
     """Cold runs at workers 1 and 2, then warm re-runs at 2 and 1: the same
     bytes (CSVs, report.json, cache records) each time, and neither a pool
@@ -528,16 +566,16 @@ def test_pool_chunks_match_one_stack(source, seed, bench, digest_tool, pool_chun
     for workers in (2, 3):
         sizes.clear()
         chunks.clear()
-        got = sc.pool_solves(dataclasses.replace(config, workers=workers), None, todo)
+        got = sc.pool_solves(config.model, config.options, None, todo, workers)
         assert sizes == [workers]
         assert_dealt(chunks, todo, workers)
         assert_same_solves(got, want)
 
 
 def test_pool_of_more_workers_than_rationals(pool_chunks):
-    config = dataclasses.replace(parse_scan_config(FOURIER_TEXT), workers=4)
+    config = parse_scan_config(FOURIER_TEXT)
     todo = [(1, 2), (1, 3), (2, 5)]
-    got = sc.pool_solves(config, None, todo)
+    got = sc.pool_solves(config.model, config.options, None, todo, 4)
     sizes, chunks = pool_chunks
     assert sizes == [3]
     assert_dealt(chunks, todo, 4)
@@ -874,6 +912,148 @@ def test_cli_flatness_writes_csv_and_record(capsys, model_file, tmp_path):
     header, rows = read_csv(tmp_path / "flatness_0_1.csv")
     assert header == ["T", "delta", "u", "zeta_upper", "bound_value"]
     assert len(rows) == 5
+
+
+FLATNESS_TARGETS = [(0, 1), (1, 2), (1, 3), (2, 5)]
+
+
+def serial_flatness(model_file, p, q, seed, cache=None, out=None):
+    """The flatness command's stdout, and its CSV when out is given, from
+    flatness_curve on an unpooled table: every beta solved alone."""
+    model = load_model(model_file)
+    options = SolveOptions(seed=seed)
+    table = BetaTable.bind(model, cache=cache, options=options)
+    curve = flatness_curve(model, p, q, table=table, options=options)
+    if out is not None:
+        out.mkdir()
+        sc.write_flatness_csv(out, curve)
+    return render_json(sc.flatness_record(curve)) + "\n"
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """The rationals of every Newton stack (minimize_periodic_many) that
+    scan.pool_solves runs, each sorted."""
+    calls = []
+    many = sc.minimize_periodic_many
+    monkeypatch.setattr(sc, "minimize_periodic_many", lambda model, todo, opts:
+                        calls.append(sorted(todo)) or many(model, todo, opts))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("p, q", FLATNESS_TARGETS)
+def test_cli_flatness_prints_what_the_serial_curve_gives(capsys, model_file, tmp_path,
+                                                         stacks, p, q, seed):
+    rc = main(["flatness", "-p", str(p), "-q", str(q), "--model", model_file,
+               "--seed", str(seed), "--out-dir", str(tmp_path / "cli")])
+    assert rc == 0
+    assert stacks == [sorted(sc.flatness_rationals(p, q))]
+    out = capsys.readouterr().out
+    assert out == serial_flatness(model_file, p, q, seed, out=tmp_path / "serial")
+    assert digest_tree(tmp_path / "cli") == digest_tree(tmp_path / "serial")
+
+
+@pytest.mark.parametrize("p, q", FLATNESS_TARGETS)
+def test_cli_flatness_stacks_exactly_the_uncached_rationals(capsys, model_file, tmp_path,
+                                                            stacks, p, q):
+    # a beta query caches p/q and the mediants of its slopes, not the loops
+    cache = tmp_path / "cache"
+    assert main(["beta", "-p", str(p), "-q", str(q), "--model", model_file,
+                 "--cache-dir", str(cache)]) == 0
+    assert stacks == []
+    model_hash = load_model(model_file).model_hash
+    rationals = sc.flatness_rationals(p, q)
+    uncached = [r for r in rationals
+                if not BetaCache(str(cache)).record_path(model_hash, *r).exists()]
+    assert 2 <= len(uncached) < len(rationals)
+    assert set(uncached) <= {(r.numerator, r.denominator)
+                             for r in (loop_rational(p, q, T) for T in loop_t_grid(q))}
+    rc = main(["flatness", "-p", str(p), "-q", str(q), "--model", model_file,
+               "--cache-dir", str(cache)])
+    assert rc == 0
+    assert stacks == [sorted(uncached)]
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (2, 5)])
+def test_cli_flatness_cache_matches_the_serial_curve_cold_and_warm(capsys, model_file,
+                                                                   tmp_path, stacks, p, q):
+    argv = ["flatness", "-p", str(p), "-q", str(q), "--model", model_file, "--seed", "3",
+            "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert len(stacks) == 1
+    assert cold == serial_flatness(model_file, p, q, 3, BetaCache(str(tmp_path / "serial")))
+    records = digest_tree(tmp_path / "cache")
+    assert records == digest_tree(tmp_path / "serial")
+
+    stacks.clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert stacks == []
+    assert digest_tree(tmp_path / "cache") == records
+
+
+@pytest.mark.parametrize("command", ["beta", "flatness", "hyperbolicity", "pn-barrier"])
+def test_cli_zero_denominator_exits_2(capsys, model_file, tmp_path, command):
+    cache = tmp_path / "cache"
+    rc = main([command, "-p", "1", "-q", "0", "--model", model_file,
+               "--cache-dir", str(cache)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: -q must be nonzero\n"
+    assert not cache.exists()
+
+
+def test_default_t_grid_ends_at_the_loop_cap():
+    assert loop_t_grid(1024) == [2]
+    with pytest.raises(ConfigError, match="4096-site cap"):
+        loop_t_grid(1025)
+    assert loop_t_grid(1025, (1, 3)) == [1, 3]
+
+
+def test_cli_flatness_past_the_loop_cap_exits_2(capsys, model_file, tmp_path):
+    rc = main(["flatness", "-p", "1", "-q", "3000", "--model", model_file,
+               "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "4096-site cap" in captured.err and "t_grid" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+LOOP_CAP_TEXT = """[model]
+family = frenkel-kontorova
+k = 2.0
+[scan]
+q_max = 2
+[flatness]
+p = {p}
+q = {q}
+"""
+
+
+def test_scan_flatness_past_the_loop_cap_is_a_config_error(capsys, tmp_path):
+    text = LOOP_CAP_TEXT.format(p=1, q=1500)
+    with pytest.raises(ConfigError, match="4096-site cap.*t_grid"):
+        parse_scan_config(text)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(text)
+    rc = main(["scan", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "4096-site cap" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # a reducible p/q is capped by its reduced q
+    with pytest.raises(ConfigError, match="q = 1025"):
+        parse_scan_config(LOOP_CAP_TEXT.format(p=2, q=2050))
+    assert parse_scan_config(LOOP_CAP_TEXT.format(p=2, q=2048)).flatness_targets
+    # an explicit t_grid keeps the target
+    config = parse_scan_config(text + "t_grid = 1\n")
+    assert config.flatness_targets == (sc.FlatnessTarget(1, 1500, (1,)),)
+    assert (1, 1000) in sc.flatness_rationals(1, 1500, (1,))
+    assert (1, 1000) in sc.work_list(config)
 
 
 def test_cli_hyperbolicity_reports_monodromy(capsys, model_file):

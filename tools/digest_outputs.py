@@ -54,6 +54,11 @@ prints one "<sha256>  <label>" line for:
   fresh interpreter, the console-script path the in-process calls above
   never take: a warm `beta -p 2 -q 5` on a cache filled in-process,
   `--help`, and `beta` without `--model` (exit 2).
+- `flatness` with `--cache-dir` at each of FLATNESS_CACHED (0/1, whose
+  adaptive refinement goes past the up-front stack, and 2/5), on the
+  benchmark's model: run cold into a fresh cache directory, then warm, plus
+  that cache tree.  The records the cold run writes are those of its
+  stacked solve; the warm run solves nothing up front.
 
 BLAS is pinned to one thread and STAIRCASE_LAB_CACHE is ignored, as in the
 benchmark.  Everything is written to a temporary directory.
@@ -127,6 +132,8 @@ DEEP_ORBITS = ((55, 89), (144, 233))  # hyperbolicity past 2**448, on the benchm
 LOOP_RATIONALS = ((0, 1), (1, 2), (1, 3), (2, 5))
 
 CORRUPT_AT = (2, 5)  # the warm-cache query whose own record is corrupted
+
+FLATNESS_CACHED = ((0, 1), (2, 5))  # flatness targets run cold, then warm, on a cache
 
 
 def sha(data) -> str:
@@ -273,6 +280,17 @@ def warm_digests(bench, cli, model: Path, seed: int, work: Path):
     yield from tree_digests(label, cache)
 
 
+def flatness_cache_digests(bench, cli, model: Path, seed: int, work: Path):
+    """Cold, then warm, flatness with --cache-dir per target, then its cache tree."""
+    for p, q in FLATNESS_CACHED:
+        cache = work / f"flatness-cache-{seed}-{p}_{q}"
+        for run in ("cold", "warm"):
+            yield from cli_digests(bench, cli, f"flatness {p}/{q} {run} --cache-dir seed={seed}",
+                                   ["flatness", "-p", str(p), "-q", str(q), "--model",
+                                    str(model), "--cache-dir", str(cache), "--seed", str(seed)])
+        yield from tree_digests(f"flatness {p}/{q} cache seed={seed}", cache)
+
+
 def shell_digests(bench, cli, model: Path, seed: int, work: Path):
     """A warm beta at 2/5, --help and a beta without --model, each as
     `python -m staircase_lab.cli` in a fresh interpreter."""
@@ -325,6 +343,7 @@ def digests(bench, seed: int, work: Path):
     model.write_text(FOURIER_MODEL)
     yield from orbit_digests(bench, cli, model, FOURIER_REQUESTS, (1, 2), tag, seed, work)
     yield from loop_digests(parse_model(FOURIER_MODEL), 1, 2, tag, seed)
+    yield from flatness_cache_digests(bench, cli, work / "model", seed, work)
 
 
 def main(argv=None) -> int:
