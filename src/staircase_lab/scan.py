@@ -54,6 +54,7 @@ from .staircase import (
     completeness_measure,
     convexity_probe,
     estimator_rationals,
+    farey_enumerate,
     hausdorff_estimator,
     legendre,
     locking_intervals,
@@ -61,6 +62,7 @@ from .staircase import (
     normalize_rational,
     probe_convergents,
     shifted_rational,
+    slope_mediants,
     variation_estimator,
 )
 from .variational import minimize_periodic_many
@@ -132,6 +134,12 @@ class ScanConfig:
     @property
     def options(self) -> SolveOptions:
         return SolveOptions(seed=self.seed)
+
+    @property
+    def rotation_window(self) -> tuple[Fraction, Fraction]:
+        """h_lo and h_hi snapped to the nearest rationals with q <= q_max:
+        the ends of the base grid, of the c-window and of the locking table."""
+        return tuple(Fraction(h).limit_denominator(self.q_max) for h in (self.h_lo, self.h_hi))
 
 
 def _parse_int(section: str, data: dict, key: str, default=None) -> int:
@@ -233,6 +241,9 @@ def parse_scan_config(text: str, require_scan: bool = True) -> ScanConfig:
         raise ConfigError(f"[scan] degenerate homology range [{h_lo}, {h_hi}]")
     c_lo = parse_float("scan", scan_data, "c_lo")
     c_hi = parse_float("scan", scan_data, "c_hi")
+    for key, value in (("h_lo", h_lo), ("h_hi", h_hi), ("c_lo", c_lo), ("c_hi", c_hi)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"[scan] {key} must be finite, got {value}")
     if (c_lo is None) != (c_hi is None):
         raise ConfigError("[scan] c_lo and c_hi must come together")
     if c_lo is not None and not c_lo < c_hi:
@@ -301,37 +312,22 @@ def _sorted_pairs(fracs) -> list[tuple[int, int]]:
 
 
 def base_rationals(config: ScanConfig) -> list[tuple[int, int]]:
-    """The Farey grid in [h_lo, h_hi] plus the window endpoints; these are
-    the rationals whose one-sided derivatives the scan certifies."""
-    base: set[Fraction] = set()
-    for q in range(1, config.q_max + 1):
-        lo = math.ceil(config.h_lo * q)
-        hi = math.floor(config.h_hi * q)
-        for p in range(lo, hi + 1):
-            if math.gcd(abs(p), q) == 1:
-                base.add(Fraction(p, q))
-    base.add(Fraction(config.h_lo).limit_denominator(config.q_max))
-    base.add(Fraction(config.h_hi).limit_denominator(config.q_max))
-    return _sorted_pairs(base)
+    """The Farey grid of order q_max on the rotation window, by (q, p); these
+    are the rationals whose one-sided derivatives the scan certifies."""
+    return sorted(farey_enumerate(config.q_max, *config.rotation_window),
+                  key=lambda r: (r[1], r[0]))
 
 
 def scan_rationals(config: ScanConfig) -> list[tuple[int, int]]:
     """Every rational the grid fill will solve: the base rationals and the
     mediant chains their one-sided derivatives consume."""
-    full = {Fraction(p, q) for p, q in base_rationals(config)}
-    for p, q in base_rationals(config):
+    base = base_rationals(config)
+    full = {Fraction(p, q) for p, q in base}
+    for p, q in base:
         for side in ("left", "right"):
             for j in range(1, config.derivative_depth + 1):
                 full.add(mediant_chain(p, q, side, j))
     return _sorted_pairs(full)
-
-
-def _with_secants(rats: set, p: int, q: int) -> None:
-    """Adds p/q and the mediants its depth-DERIVATIVE_DEPTH one-sided slopes read."""
-    rats.add(Fraction(p, q))
-    for side in ("left", "right"):
-        for j in (DERIVATIVE_DEPTH - 1, DERIVATIVE_DEPTH):
-            rats.add(mediant_chain(p, q, side, j))
 
 
 def probe_rationals(config: ScanConfig) -> list[tuple[int, int]]:
@@ -351,9 +347,8 @@ def flatness_rationals(p: int, q: int, t_grid=None) -> list[tuple[int, int]]:
     adaptive refinement: p/q, the mediants of its first refinement step and
     its loop rationals (loop_t_grid: a ConfigError if no default T fits)."""
     p, q = normalize_rational(p, q)
-    rats: set[Fraction] = set()
-    _with_secants(rats, p, q)
-    rats.update(loop_rational(p, q, T) for T in loop_t_grid(q, t_grid))
+    rats = {Fraction(p, q), *(loop_rational(p, q, T) for T in loop_t_grid(q, t_grid))}
+    rats.update(*slope_mediants(p, q))
     return _sorted_pairs(rats)
 
 
@@ -371,7 +366,8 @@ def work_list(config: ScanConfig) -> list[tuple[int, int]]:
     if config.nus:
         for Q in _dyadic_ladder(config.q_max):
             for p, q in estimator_rationals(Q, config.estimator_q):
-                _with_secants(rats, p, q)
+                rats.add(Fraction(p, q))
+                rats.update(*slope_mediants(p, q))
                 rats.update(shifted_rational(p, q, nu) for nu in config.nus)
     for target in config.flatness_targets:
         rats.update(Fraction(p, q) for p, q in
@@ -513,7 +509,7 @@ def grid_table(config: ScanConfig, cache: BetaCache | None, rationals):
     and fill_table over scan_rationals."""
     config.model.check_twist()
     pooled = pool_solves(config.model, config.options, cache, rationals, config.workers)
-    table = BetaTable.bind(config.model, config.h_lo, config.h_hi, cache=cache,
+    table = BetaTable.bind(config.model, *config.rotation_window, cache=cache,
                            options=config.options, pooled=pooled)
     failures: list[dict] = []
     fill_table(table, config, scan_rationals(config), failures)
@@ -523,8 +519,7 @@ def grid_table(config: ScanConfig, cache: BetaCache | None, rationals):
 def cohomology_window(table: BetaTable, config: ScanConfig, failures):
     if config.c_lo is not None:
         return config.c_lo, config.c_hi
-    lo = Fraction(config.h_lo).limit_denominator(config.q_max)
-    hi = Fraction(config.h_hi).limit_denominator(config.q_max)
+    lo, hi = config.rotation_window
 
     def ends():
         return (table.one_sided(lo.numerator, lo.denominator, config.derivative_depth)[0],

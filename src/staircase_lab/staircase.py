@@ -43,24 +43,18 @@ def normalize_rational(p: int, q: int) -> tuple[int, int]:
     return (p // g if g else p, q // g if g else q)
 
 
-def farey_enumerate(Q: int, h_lo: float, h_hi: float) -> list[tuple[int, int]]:
-    """All reduced p/q with q <= Q inside [h_lo, h_hi], ascending."""
+def farey_enumerate(Q: int, h_lo, h_hi) -> list[tuple[int, int]]:
+    """All reduced p/q with q <= Q inside [h_lo, h_hi], ascending.  The ends
+    are compared exactly (a float end as the binary fraction it is); a
+    one-point interval is allowed."""
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    if not h_lo < h_hi:
+    lo, hi = Fraction(h_lo), Fraction(h_hi)
+    if lo > hi:
         raise ValueError(f"empty range [{h_lo}, {h_hi}]")
-    lo = Fraction(h_lo)
-    hi = Fraction(h_hi)
-    out: set[Fraction] = set()
-    for q in range(1, Q + 1):
-        p_min = math.ceil(h_lo * q - 1e-9)
-        p_max = math.floor(h_hi * q + 1e-9)
-        for p in range(p_min, p_max + 1):
-            r = Fraction(p, q)
-            if lo <= r <= hi and r.denominator <= Q:
-                out.add(r)
-    rats = sorted(out)
-    return [(r.numerator, r.denominator) for r in rats]
+    rats = [(p, q) for q in range(1, Q + 1)
+            for p in range(math.ceil(lo * q), math.floor(hi * q) + 1) if math.gcd(p, q) == 1]
+    return sorted(rats, key=lambda r: Fraction(*r))
 
 
 def farey_parents(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -81,6 +75,13 @@ def mediant_chain(p: int, q: int, side: str, j: int) -> Fraction:
     if side == "right":
         return Fraction(c + j * p, d + j * q)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def slope_mediants(p: int, q: int, depth: int = DERIVATIVE_DEPTH):
+    """The mediants toward p/q at depth - 1 and depth, from the left, then
+    from the right: the rationals whose secants BetaTable.one_sided reads."""
+    return [(mediant_chain(p, q, side, depth - 1), mediant_chain(p, q, side, depth))
+            for side in ("left", "right")]
 
 
 def cf_value(coeffs) -> float:
@@ -143,19 +144,17 @@ class BetaTable:
     with analytically known conjugates).
     """
 
-    def __init__(self, beta_fn, model_hash: str, h_lo: float = 0.0, h_hi: float = 1.0,
-                 derivative_fn=None):
+    def __init__(self, beta_fn, model_hash: str, h_lo=0, h_hi=1, derivative_fn=None):
         self._beta_fn = beta_fn
         self.model_hash = model_hash
-        self.h_lo = float(h_lo)
-        self.h_hi = float(h_hi)
+        self.h_lo = Fraction(h_lo)  # the window rationals() enumerates, exact
+        self.h_hi = Fraction(h_hi)
         self._derivative_fn = derivative_fn
         self._entries: dict[tuple[int, int], BetaEntry] = {}
         self.convexity_verified = False
 
     @classmethod
-    def bind(cls, model, h_lo: float = 0.0, h_hi: float = 1.0, cache=None, options=None,
-             pooled=None):
+    def bind(cls, model, h_lo=0, h_hi=1, cache=None, options=None, pooled=None):
         """Solver-backed table; cache and pooled are handed to beta_at."""
 
         def fn(p, q):
@@ -164,8 +163,8 @@ class BetaTable:
         return cls(fn, model.model_hash, h_lo, h_hi)
 
     @classmethod
-    def from_function(cls, phi, h_lo: float = 0.0, h_hi: float = 1.0,
-                      derivative=None, model_hash: str = "synthetic"):
+    def from_function(cls, phi, h_lo=0, h_hi=1, derivative=None,
+                      model_hash: str = "synthetic"):
         """Synthetic table from rho -> beta(rho); derivative maps rho -> (c-, c+)."""
 
         def fn(p, q):
@@ -225,17 +224,15 @@ class BetaTable:
             return (self.beta_frac(r) - b0) / float(r - r0)
 
         width = 0.0
-        vals = {}
-        for side in ("left", "right"):
-            m_prev = mediant_chain(p, q, side, depth - 1)
-            m_last = mediant_chain(p, q, side, depth)
+        vals = []
+        for m_prev, m_last in slope_mediants(p, q, depth):
             s_prev, s_last = secant(m_prev), secant(m_last)
             d_prev = abs(float(m_prev - r0))
             d_last = abs(float(m_last - r0))
             extrap = s_last + (s_last - s_prev) * d_last / (d_prev - d_last)
-            vals[side] = extrap
+            vals.append(extrap)
             width = max(width, abs(extrap - s_last))
-        cm, cp = vals["left"], vals["right"]
+        cm, cp = vals
         if cm > cp:
             # Extrapolation noise can invert the estimates where the true
             # width vanishes; a genuine kink inverts by orders more.
@@ -426,8 +423,10 @@ def estimator_rationals(Q: int, q_max: int | None) -> list[tuple[int, int]]:
     """The p/q in (0, 1] with Q < q <= q_max (default 2Q) that carry an
     estimator term, in (q, p) order."""
     hi = 2 * Q if q_max is None else q_max
-    return [(p, q) for q in range(Q + 1, hi + 1) for p in range(1, q + 1)
-            if math.gcd(p, q) == 1]
+    if hi < 1:
+        return []
+    return sorted(((p, q) for p, q in farey_enumerate(hi, Fraction(1, hi), 1) if q > Q),
+                  key=lambda r: (r[1], r[0]))
 
 
 def _estimator_terms(table: BetaTable, nu: float, Q: int, q_max: int | None):

@@ -408,6 +408,24 @@ def test_curve_validates_T_grid(k2, k2_table):
         flatness.flatness_curve(k2, 0, 1, T_list=[0, 2], table=k2_table)
 
 
+@pytest.mark.parametrize("k,p,q", [(2.0, 0, 1), (2.0, 1, 2), (2.0, 1, 3), (2.0, 2, 5),
+                                   (0.0, 0, 1)])
+def test_curve_reads_one_spectrum(k, p, q, monkeypatch):
+    # the translate ladder's phonon gap is the curve's one dense spectrum; at
+    # k = 0 it is below PHONON_GAP_FLOOR and the curve has no loops
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs:
+                        sizes.append(len(a)) or eigvalsh(a, *args, **kwargs))
+    curve = flatness.flatness_curve(frenkel_kontorova(k), p, q, T_list=[2, 4])
+    assert sizes == [q]
+    zeta = curve.zeta_upper_bounds
+    if k == 0.0:
+        assert all(math.isnan(z) for z in zeta) and curve.verdict == "polynomial"
+    else:
+        assert all(math.isfinite(z) for z in zeta) and curve.lambda_monodromy > 0.0
+
+
 def test_curve_without_table_solves_with_the_given_options(k2, monkeypatch):
     real_beta, real_min = staircase.beta_at, variational.minimize_periodic
     seen = []

@@ -127,6 +127,14 @@ def test_parse_defaults():
     assert cfg.cache_dir is None and cfg.out_dir is None
 
 
+NON_FINITE_WINDOWS = [
+    "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nh_hi = inf\n",
+    "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nh_lo = -inf\n",
+    "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nc_lo = -inf\nc_hi = 1.0\n",
+    "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nc_lo = 0.0\nc_hi = inf\n",
+]
+
+
 @pytest.mark.parametrize("text", [
     "[scan]\nq_max = 5\n",                                        # no model
     "[model]\nfamily = frenkel-kontorova\nk = 1.0\n",             # no scan
@@ -148,6 +156,7 @@ def test_parse_defaults():
     "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nestimator_q = -3\n",
     "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nestimator_q = 4\n",
     "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 3\nderivative_depth = 1\n",
+    *NON_FINITE_WINDOWS,
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ConfigError):
@@ -165,6 +174,34 @@ def test_dyadic_ladder():
     assert sc._dyadic_ladder(10) == [4, 8, 10]
     assert sc._dyadic_ladder(4) == [4]
     assert sc._dyadic_ladder(3) == [3]
+
+
+def base_rationals_before_rotation_window(config):
+    """scan.base_rationals as it was before it read ScanConfig.rotation_window,
+    line for line."""
+    base: set[Fraction] = set()
+    for q in range(1, config.q_max + 1):
+        lo = math.ceil(config.h_lo * q)
+        hi = math.floor(config.h_hi * q)
+        for p in range(lo, hi + 1):
+            if math.gcd(abs(p), q) == 1:
+                base.add(Fraction(p, q))
+    base.add(Fraction(config.h_lo).limit_denominator(config.q_max))
+    base.add(Fraction(config.h_hi).limit_denominator(config.q_max))
+    return sc._sorted_pairs(base)
+
+
+WINDOW_ENDS = (0.0, 0.1, 0.2, 0.25, 0.3, 0.3333333333333333, 0.34, 0.5, 0.6, 0.7, 0.9, 1.0)
+
+
+def test_base_rationals_match_their_former_body():
+    config = parse_scan_config("[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\n")
+    for h_lo in WINDOW_ENDS:
+        for h_hi in (h for h in WINDOW_ENDS if h > h_lo):
+            for q_max in range(1, 13):
+                window = dataclasses.replace(config, q_max=q_max, h_lo=h_lo, h_hi=h_hi)
+                assert (sc.base_rationals(window)
+                        == base_rationals_before_rotation_window(window)), window
 
 
 def test_scan_rationals_cover_base_and_chains():
@@ -411,18 +448,27 @@ def test_work_list_is_what_the_serial_scan_solves(tmp_path, monkeypatch):
     assert solved - listed and solved - listed <= deeper
 
 
+def _with_secants(rats: set, p: int, q: int) -> None:
+    """Adds p/q and the mediants its depth-DERIVATIVE_DEPTH one-sided slopes read."""
+    rats.add(Fraction(p, q))
+    for side in ("left", "right"):
+        for j in (DERIVATIVE_DEPTH - 1, DERIVATIVE_DEPTH):
+            rats.add(mediant_chain(p, q, side, j))
+
+
 def work_list_before_flatness_rationals(config):
     """scan.work_list as it was before it took each flatness target's
-    rationals from scan.flatness_rationals, line for line."""
+    rationals from scan.flatness_rationals, line for line, with the former
+    scan._with_secants above."""
     rats = {Fraction(p, q) for p, q in sc.scan_rationals(config) + sc.probe_rationals(config)}
     if config.nus:
         for Q in sc._dyadic_ladder(config.q_max):
             for p, q in estimator_rationals(Q, config.estimator_q):
-                sc._with_secants(rats, p, q)
+                _with_secants(rats, p, q)
                 rats.update(shifted_rational(p, q, nu) for nu in config.nus)
     for target in config.flatness_targets:
         p, q = normalize_rational(target.p, target.q)
-        sc._with_secants(rats, p, q)
+        _with_secants(rats, p, q)
         rats.update(loop_rational(p, q, T) for T in loop_t_grid(q, target.t_grid))
     return sc._sorted_pairs(rats)
 
@@ -610,6 +656,53 @@ def test_cli_scan_without_out_dir_exits_2(tmp_path, capsys, monkeypatch):
     assert [f.name for f in tmp_path.iterdir()] == ["scan.cfg"]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "out_dir" in err[0]
+
+
+@pytest.mark.parametrize("text", NON_FINITE_WINDOWS)
+def test_cli_scan_non_finite_window_exits_2_and_writes_nothing(text, tmp_path, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["scan", str(cfg), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "must be finite" in err[0]
+
+
+def _window_scan(tmp_path, name, q_max, h_lo, h_hi):
+    """FK k = 2 scan of [h_lo, h_hi] at q_max: artifacts by name, and L(Q)."""
+    text = (f"[model]\nfamily = frenkel-kontorova\nk = 2.0\n[scan]\nq_max = {q_max}\n"
+            f"h_lo = {h_lo!r}\nh_hi = {h_hi!r}\nc_grid = 21\n")
+    out = tmp_path / name
+    code, report = run_scan(dataclasses.replace(parse_scan_config(text), out_dir=str(out)))
+    assert code == 0 and report["results"]["failures"] == []
+    files = {f: (out / f).read_bytes()
+             for f in ("locking.csv", "estimators.csv", "staircase.csv", "beta.csv")}
+    return files, report["results"]["L_of_Q"]
+
+
+@pytest.mark.parametrize("q_max,ends,exact,snapped", [
+    (5, (0.2, 0.6), (0.19999999999999998, 0.6000000000000001), ["1/5", "3/5"]),
+    (4, (0.34, 0.5), (0.3333333333333333, 0.5), ["1/3"]),
+])
+def test_locking_table_holds_the_snapped_window_ends(tmp_path, q_max, ends, exact, snapped):
+    # the same snapped rationals bound the c-window and lead the locking
+    # table, whichever float of the window's ends snaps to them
+    files, l_of_q = _window_scan(tmp_path, "ends", q_max, *ends)
+    exact_files, exact_l = _window_scan(tmp_path, "exact", q_max, *exact)
+    _, rows = read_csv(tmp_path / "ends" / "locking.csv")
+    assert set(snapped) <= {row[0] for row in rows}
+    assert l_of_q == exact_l and l_of_q[-1][1] > 0.9999
+    assert files == exact_files
+
+
+def test_window_on_one_plateau_is_all_locked(tmp_path):
+    # [0.1, 0.2] snaps to 0/1 at both ends at q_max = 2: the c-window is
+    # 0/1's plateau, and 0/1 fills it
+    _, l_of_q = _window_scan(tmp_path, "plateau", 2, 0.1, 0.2)
+    _, rows = read_csv(tmp_path / "plateau" / "locking.csv")
+    assert [row[0] for row in rows] == ["0/1"]
+    assert l_of_q == [[2, 1.0]]
 
 
 # ---- failure isolation ------------------------------------------------------------

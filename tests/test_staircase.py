@@ -68,6 +68,70 @@ def test_farey_subrange_and_validation():
         sc.farey_enumerate(0, 0.0, 1.0)
     with pytest.raises(ValueError):
         sc.farey_enumerate(5, 0.7, 0.3)
+    with pytest.raises(ValueError):
+        sc.farey_enumerate(5, Fraction(1, 3), Fraction(1, 4))
+
+
+def farey_enumerate_before_exact_bounds(Q, h_lo, h_hi):
+    """staircase.farey_enumerate as it was before it compared its ends
+    exactly, line for line."""
+    if Q < 1:
+        raise ValueError("Q must be >= 1")
+    if not h_lo < h_hi:
+        raise ValueError(f"empty range [{h_lo}, {h_hi}]")
+    lo = Fraction(h_lo)
+    hi = Fraction(h_hi)
+    out: set[Fraction] = set()
+    for q in range(1, Q + 1):
+        p_min = math.ceil(h_lo * q - 1e-9)
+        p_max = math.floor(h_hi * q + 1e-9)
+        for p in range(p_min, p_max + 1):
+            r = Fraction(p, q)
+            if lo <= r <= hi and r.denominator <= Q:
+                out.add(r)
+    rats = sorted(out)
+    return [(r.numerator, r.denominator) for r in rats]
+
+
+WINDOW_ENDS = (0.0, 0.1, 0.2, 0.25, 0.3, 0.3333333333333333, 0.34, 0.5, 0.6, 0.7, 0.9, 1.0)
+
+
+def test_farey_matches_its_former_body():
+    windows = [(lo, hi) for lo in WINDOW_ENDS for hi in WINDOW_ENDS if lo < hi]
+    for Q in range(1, 13):
+        for lo, hi in windows + [(-0.5, 1.5), (0.19999999999999998, 0.6000000000000001)]:
+            assert sc.farey_enumerate(Q, lo, hi) == farey_enumerate_before_exact_bounds(Q, lo, hi)
+
+
+def test_farey_exact_ends():
+    # a Fraction end is compared exactly, a float end as the binary fraction it is
+    assert (sc.farey_enumerate(5, Fraction(1, 5), Fraction(3, 5))
+            == [(1, 5), (1, 4), (1, 3), (2, 5), (1, 2), (3, 5)])
+    assert sc.farey_enumerate(5, 0.2, 0.6) == [(1, 4), (1, 3), (2, 5), (1, 2)]
+    assert sc.farey_enumerate(2, Fraction(0), Fraction(0)) == [(0, 1)]
+    assert sc.farey_enumerate(4, 0.26, 0.3) == []
+
+
+def estimator_rationals_before_farey(Q, q_max):
+    """staircase.estimator_rationals as it was before it read
+    farey_enumerate, line for line."""
+    hi = 2 * Q if q_max is None else q_max
+    return [(p, q) for q in range(Q + 1, hi + 1) for p in range(1, q + 1)
+            if math.gcd(p, q) == 1]
+
+
+def test_estimator_rationals_match_their_former_body():
+    for Q in range(0, 9):
+        for q_max in (None, *range(-1, 20)):
+            assert (sc.estimator_rationals(Q, q_max)
+                    == estimator_rationals_before_farey(Q, q_max)), (Q, q_max)
+
+
+def test_slope_mediants_are_the_chains_one_sided_reads():
+    for p, q in [(0, 1), (1, 2), (2, 5), (-1, 3)]:
+        assert sc.slope_mediants(p, q, 4) == [
+            (sc.mediant_chain(p, q, side, 3), sc.mediant_chain(p, q, side, 4))
+            for side in ("left", "right")]
 
 
 def test_farey_parents_identities():

@@ -59,6 +59,11 @@ prints one "<sha256>  <label>" line for:
   benchmark's model: run cold into a fresh cache directory, then warm, plus
   that cache tree.  The records the cold run writes are those of its
   stacked solve; the warm run solves nothing up front.
+- every artifact and cache record of the three WINDOW_SCANS, cold at
+  workers 1, plus their exit status: FK k = 2 scans whose window ends are
+  not rationals of q <= q_max and snap to them (0.2 and 0.6 to 1/5 and 3/5
+  at q_max = 5, 0.34 to 1/3 at q_max = 4, and 0.1 and 0.2 both to 0/1 at
+  q_max = 2).  Those rationals bound the c-window and lead the locking table.
 
 BLAS is pinned to one thread and STAIRCASE_LAB_CACHE is ignored, as in the
 benchmark.  Everything is written to a temporary directory.
@@ -123,6 +128,20 @@ cf = 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1
 rho_lo = 0.5
 rho_hi = 0.7
 """
+
+WINDOW_SCAN = """[model]
+family = frenkel-kontorova
+k = 2.0
+
+[scan]
+q_max = {q_max}
+h_lo = {h_lo}
+h_hi = {h_hi}
+seed = {seed}
+workers = 1
+"""
+
+WINDOW_SCANS = ((5, 0.2, 0.6), (4, 0.34, 0.5), (2, 0.1, 0.2))  # (q_max, h_lo, h_hi)
 
 FOURIER_REQUESTS = (("beta", 1, 2), ("beta", 2, 5), ("hyperbolicity", 1, 2),
                     ("pn-barrier", 1, 2))
@@ -344,6 +363,10 @@ def digests(bench, seed: int, work: Path):
     yield from orbit_digests(bench, cli, model, FOURIER_REQUESTS, (1, 2), tag, seed, work)
     yield from loop_digests(parse_model(FOURIER_MODEL), 1, 2, tag, seed)
     yield from flatness_cache_digests(bench, cli, work / "model", seed, work)
+    for q_max, h_lo, h_hi in WINDOW_SCANS:
+        text = WINDOW_SCAN.format(q_max=q_max, h_lo=h_lo, h_hi=h_hi, seed=seed)
+        yield from scan_digests(scan, text, f"window [{h_lo}, {h_hi}] q_max={q_max} scan "
+                                f"seed={seed} workers=1", work / f"window-{seed}-{q_max}")
 
 
 def main(argv=None) -> int:
