@@ -1,9 +1,11 @@
 """Command line front end: the scan driver plus one-shot inspection commands.
 
 Every subcommand accepts --model, --cache-dir, --out-dir, --workers and
---seed; only scan and probe-kam use --workers.  The cache directory resolves
-flag first, then the environment variable STAIRCASE_LAB_CACHE, then the
-config file.  Config problems exit with status 2 before any artifact is
+--seed, but reads only some: scan and probe-kam all five, beta all but
+--out-dir and --workers, flatness all but --workers, hyperbolicity and
+pn-barrier --model and --seed.  The cache directory resolves flag first,
+then STAIRCASE_LAB_CACHE, then the config file.  Config problems (a --seed
+< 0 or --workers < 1 on any command too) exit 2 before any artifact is
 written; computational failures exit 1.
 """
 

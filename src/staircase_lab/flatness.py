@@ -43,8 +43,8 @@ class TranslateLadder:
     def __init__(self, model, p: int, q: int, options=None, config=None):
         cfg = config if config is not None else variational.minimize_periodic(
             model, p, q, options)
-        gap = hyperbolicity.phonon_gap(model, cfg)
-        if gap < PHONON_GAP_FLOOR:
+        if not hyperbolicity.phonon_gap_exceeds(model, cfg, PHONON_GAP_FLOOR):
+            gap = hyperbolicity.phonon_gap(model, cfg)  # for the message only
             raise DegenerateFamily(
                 f"phonon gap {gap:.3e} below {PHONON_GAP_FLOOR} at {p}/{q}: "
                 "translates form a continuum, no gaps to cross"

@@ -4,10 +4,11 @@ Linearizing the Euler-Lagrange recursion along an orbit gives 2x2 transfer
 matrices whose ordered product (the monodromy) measures orbit stability: the
 per-step Lyapunov exponent is log of its largest eigenvalue magnitude divided
 by q.  The same data in symmetric form is the second variation, a periodic
-tridiagonal matrix whose smallest eigenvalue is the phonon gap.  Both read
-one second variation, the solver's own (PeriodicProblem.hessian_parts).  The
-Peierls-Nabarro barrier is the spread of the pinned minimal action as the
-constrained site sweeps one period.
+tridiagonal matrix whose smallest eigenvalue is the phonon gap
+(phonon_gap_exceeds compares it with a floor in O(q), from no spectrum).  All
+read one second variation, the solver's own (PeriodicProblem.hessian_parts).
+The Peierls-Nabarro barrier is the spread of the pinned minimal action as
+the constrained site sweeps one period.
 """
 
 from __future__ import annotations
@@ -140,6 +141,13 @@ def _spectrum(parts) -> np.ndarray:
 
 def phonon_gap(model: GeneratingModel, config: PeriodicConfiguration) -> float:
     return float(second_variation_spectrum(model, config)[0])
+
+
+def phonon_gap_exceeds(model: GeneratingModel, config: PeriodicConfiguration,
+                       floor: float) -> bool:
+    """phonon_gap > floor in O(q), from no spectrum: H - floor*I is positive
+    definite.  At a gap exactly equal to floor it is False."""
+    return solvers.positive_definite(*_second_variation(model, config), -floor)
 
 
 def full_report(

@@ -142,15 +142,16 @@ class ScanConfig:
         return tuple(Fraction(h).limit_denominator(self.q_max) for h in (self.h_lo, self.h_hi))
 
 
-def _parse_int(section: str, data: dict, key: str, default=None) -> int:
-    if key not in data:
-        if default is None:
-            raise ConfigError(f"[{section}] missing required key {key!r}")
-        return default
+def _parse_int(section: str, data: dict, key: str, default=None, minimum=None) -> int:
+    if key not in data and default is None:
+        raise ConfigError(f"[{section}] missing required key {key!r}")
     try:
-        return int(data[key])
+        value = int(data[key]) if key in data else default
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {data[key]!r} is not an integer") from exc
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"[{section}] {key} must be >= {minimum}, got {value}")
+    return value
 
 
 def _parse_list(section: str, data: dict, key: str, cast):
@@ -211,7 +212,11 @@ def parse_scan_config(text: str, require_scan: bool = True) -> ScanConfig:
             cf = _parse_list("probe", data, "cf", int)
             if not cf:
                 raise ConfigError("[probe] missing required key 'cf'")
+            if any(a < 1 for a in cf[1:]):
+                raise ConfigError(f"[probe] cf entries after the first must be >= 1: {cf}")
             delta = parse_float("probe", data, "delta", 0.3)
+            if not (math.isfinite(delta) and delta > 0.0):
+                raise ConfigError(f"[probe] delta must be positive and finite, got {delta}")
             rho_lo = parse_float("probe", data, "rho_lo")
             rho_hi = parse_float("probe", data, "rho_hi")
             if (rho_lo is None) != (rho_hi is None):
@@ -232,9 +237,7 @@ def parse_scan_config(text: str, require_scan: bool = True) -> ScanConfig:
             raise ConfigError("missing [scan] section")
         scan_data = {}
 
-    q_max = _parse_int("scan", scan_data, "q_max", 16)
-    if q_max < 1:
-        raise ConfigError(f"[scan] q_max must be >= 1, got {q_max}")
+    q_max = _parse_int("scan", scan_data, "q_max", 16, minimum=1)
     h_lo = parse_float("scan", scan_data, "h_lo", 0.0)
     h_hi = parse_float("scan", scan_data, "h_hi", 1.0)
     if not h_lo < h_hi:
@@ -256,25 +259,15 @@ def parse_scan_config(text: str, require_scan: bool = True) -> ScanConfig:
         raise ConfigError(f"[scan] theta values must lie in (0,1]: {thetas}")
     if thetas and not nus:
         raise ConfigError("[scan] theta given without any nu")
-    estimator_q = _parse_int("scan", scan_data, "estimator_q", 0)
-    if estimator_q < 0:
-        raise ConfigError(f"[scan] estimator_q must be >= 0, got {estimator_q}")
+    estimator_q = _parse_int("scan", scan_data, "estimator_q", 0, minimum=0)
     if 0 < estimator_q <= q_max:
         # no rational of a ladder Q >= estimator_q would carry a term
         raise ConfigError(f"[scan] estimator_q must be 0 or > q_max = {q_max}, got {estimator_q}")
-    c_grid = _parse_int("scan", scan_data, "c_grid", 201)
-    if c_grid < 2:
-        raise ConfigError(f"[scan] c_grid must be >= 2, got {c_grid}")
-    depth = _parse_int("scan", scan_data, "derivative_depth", DERIVATIVE_DEPTH)
-    if depth < 2:
-        # BetaTable.one_sided extrapolates from the two deepest secants
-        raise ConfigError(f"[scan] derivative_depth must be >= 2, got {depth}")
-    workers = _parse_int("scan", scan_data, "workers", 1)
-    if workers < 1:
-        raise ConfigError(f"[scan] workers must be >= 1, got {workers}")
-    seed = _parse_int("scan", scan_data, "seed", 0)
-    if seed < 0:
-        raise ConfigError(f"[scan] seed must be >= 0, got {seed}")
+    c_grid = _parse_int("scan", scan_data, "c_grid", 201, minimum=2)
+    # BetaTable.one_sided extrapolates from the two deepest secants
+    depth = _parse_int("scan", scan_data, "derivative_depth", DERIVATIVE_DEPTH, minimum=2)
+    workers = _parse_int("scan", scan_data, "workers", 1, minimum=1)
+    seed = _parse_int("scan", scan_data, "seed", 0, minimum=0)
 
     return ScanConfig(
         model=model,

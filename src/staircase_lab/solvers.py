@@ -86,11 +86,11 @@ returns.  The cycles seen in practice are full steps at the float noise
 floor, just above the target, so states are recorded from a start's first
 full step on; a start that never takes one runs on as it always did.
 
-Minimality is certified by Sylvester's law of inertia: H + shift*I is
-positive definite exactly when every LDL^T pivot (LAPACK dpttrf) of the open
-chain is positive and, in the periodic case, so is the Schur complement of
-the last site, which couples to site 0 through the corner (at q <= 2 the
-couplings fold onto an open chain of q sites).  Critical points are
+Minimality is certified by positive_definite, the one O(q) test of H +
+shift*I, which both certificates and the flatness ladder's phonon-gap gate
+call: every LDL^T pivot (dpttrf) of the open chain is positive and, on a
+cycle, so is the Schur complement of the last site (at q <= 2 the couplings
+fold onto an open chain of q sites).  Critical points are
 deduplicated by class_distance, which compares in full only the index
 shifts that pass two one-site filters: site 0, and the site circularly
 farthest from it, must each come within the threshold.  Each distinct one
@@ -282,16 +282,35 @@ def solve_cyclic_tridiag_stack(diag, off, bounds, rhs):
     return [out[lo:hi] if ok else None for lo, hi, ok in zip(first, bounds[1:], solved)]
 
 
-def ldlt_tridiag(d, e):
-    """Pivots and multipliers of the LDL^T factorization (LAPACK dpttrf).
+def fold_cycle(diag, off):
+    """A cycle of q <= 2 sites as its open chain, couplings added as in tridiag_dense."""
+    if len(off) != len(diag) or len(diag) > 2:
+        return diag, off
+    return (diag + off + off, off[:0]) if len(diag) == 1 else (diag, off[:1] + off[1:])
 
-    Returns None unless every pivot is positive, i.e. unless the symmetric
-    tridiagonal matrix (d, e) is positive definite.
+
+def positive_definite(diag, off, shift) -> bool:
+    """True when the symmetric tridiagonal (diag, off) plus shift*I is positive definite.
+
+    The chain is cyclic when off is as long as diag, off[-1] the corner (the
+    layout of hessian_parts).  By Sylvester's law of inertia that holds
+    exactly when every LDL^T pivot (dpttrf) of the open chain is positive,
+    and on a cycle of q >= 3 sites the open chain is the first q-1 sites and
+    the Schur complement of the last one must be positive too.
     """
-    if len(d) == 1:
-        return (d, e) if d[0] > 0.0 else None
-    piv, mult, info = dpttrf(d, e)
-    return (piv, mult) if info == 0 and np.all(piv > 0.0) else None
+    diag, off = fold_cycle(diag, off)
+    d = diag + shift
+    m = len(d) - 1 if len(off) == len(d) else len(d)  # sites of the open chain
+    piv, mult, info = dpttrf(d[:m], off[: m - 1]) if m > 1 else (d[:1], off[:0], 0)
+    if info != 0 or not np.all(piv > 0.0):
+        return False
+    if m == len(d):
+        return True
+    c = np.zeros(m)
+    c[0] = off[-1]
+    c[-1] += off[m - 1]
+    x, info = dpttrs(piv, mult, c)
+    return info == 0 and bool(d[-1] - float(np.dot(c, x)) > 0.0)
 
 
 def modified_newton_direction(H, g):
@@ -657,31 +676,10 @@ _PSD_SHIFT = 1e-8  # the periodic certificate tests H + _PSD_SHIFT*scale*I
 
 
 def certify_psd_periodic_u(prob: PeriodicProblem, u):
-    """True when H + _PSD_SHIFT*scale*I is positive definite, scale = max(1, max|H_ii|).
-
-    By Sylvester's law of inertia this is the dense Cholesky test: the open
-    chain of the first q-1 sites must have positive LDL^T pivots, and the
-    Schur complement of site q-1, which couples to site q-2 and through the
-    corner to site 0, must be positive.  At q <= 2 the couplings fold, as in
-    tridiag_dense, onto an open chain of q sites, whose pivots decide.
-    """
-    diag, off = prob.hessian_parts(u)
-    q = prob.q
-    if q == 1:
-        diag, off = diag + off + off, off[:0]
-    elif q == 2:
-        off = off[:1] + off[1:]
-    d = diag + _PSD_SHIFT * max(1.0, float(np.abs(diag).max()))
-    if q <= 2:
-        return ldlt_tridiag(d, off) is not None
-    factors = ldlt_tridiag(d[:-1], off[: q - 2])
-    if factors is None:
-        return False
-    c = np.zeros(q - 1)
-    c[0] = off[-1]
-    c[-1] += off[q - 2]
-    x, info = dpttrs(*factors, c)
-    return info == 0 and bool(d[-1] - float(np.dot(c, x)) > 0.0)
+    """True when H + _PSD_SHIFT*scale*I is positive definite, scale = max(1, max|H_ii|)
+    of the q x q matrix (folded at q <= 2)."""
+    diag, off = fold_cycle(*prob.hessian_parts(u))
+    return positive_definite(diag, off, _PSD_SHIFT * max(1.0, float(np.abs(diag).max())))
 
 
 # ---- seeds ------------------------------------------------------------------
@@ -927,10 +925,8 @@ def newton_segment(model, w0, n_fix_left, n_fix_right, opts: SolveOptions):
 
 def certify_psd_segment(model, w, n_fix_left, n_fix_right, shift=1e-8):
     """True when the free-site Hessian plus shift*scale*I is positive definite."""
-    n = len(w)
-    lo, hi = n_fix_left, n - n_fix_right
+    lo, hi = n_fix_left, len(w) - n_fix_right
     if hi <= lo:
         return True
     diag, off = segment_hessian_parts(model, w, lo, hi)
-    scale = max(1.0, float(np.abs(diag).max()))
-    return ldlt_tridiag(diag + shift * scale, off) is not None
+    return positive_definite(diag, off, shift * max(1.0, float(np.abs(diag).max())))

@@ -408,22 +408,55 @@ def test_curve_validates_T_grid(k2, k2_table):
         flatness.flatness_curve(k2, 0, 1, T_list=[0, 2], table=k2_table)
 
 
-@pytest.mark.parametrize("k,p,q", [(2.0, 0, 1), (2.0, 1, 2), (2.0, 1, 3), (2.0, 2, 5),
-                                   (0.0, 0, 1)])
-def test_curve_reads_one_spectrum(k, p, q, monkeypatch):
-    # the translate ladder's phonon gap is the curve's one dense spectrum; at
-    # k = 0 it is below PHONON_GAP_FLOOR and the curve has no loops
+def recording_eigvalsh(monkeypatch):
     sizes = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs:
                         sizes.append(len(a)) or eigvalsh(a, *args, **kwargs))
+    return sizes
+
+
+@pytest.mark.parametrize("k,p,q", [(2.0, 0, 1), (2.0, 1, 2), (2.0, 1, 3), (2.0, 2, 5),
+                                   (0.0, 0, 1)])
+def test_curve_reads_one_spectrum(k, p, q, monkeypatch):
+    # the translate ladder's phonon-gap gate is an O(q) factorization; only
+    # at k = 0, where the gap is below PHONON_GAP_FLOOR and the curve has no
+    # loops, is one dense spectrum read, for the DegenerateFamily message
+    sizes = recording_eigvalsh(monkeypatch)
     curve = flatness.flatness_curve(frenkel_kontorova(k), p, q, T_list=[2, 4])
-    assert sizes == [q]
+    assert sizes == ([q] if k == 0.0 else [])
     zeta = curve.zeta_upper_bounds
     if k == 0.0:
         assert all(math.isnan(z) for z in zeta) and curve.verdict == "polynomial"
     else:
         assert all(math.isfinite(z) for z in zeta) and curve.lambda_monodromy > 0.0
+
+
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 3)])
+def test_hyperbolic_loops_and_segments_read_no_spectrum(k2, p, q, monkeypatch):
+    sizes = recording_eigvalsh(monkeypatch)
+    flatness.concatenate_loop(k2, p, q, 2)
+    flatness.heteroclinic_segment(k2, p, q, 1, 2)
+    assert sizes == []
+
+
+DEGENERATE_MESSAGES = {  # the dense-gap texts of the eigvalsh gate this one replaced
+    (0, 1): "phonon gap 0.000e+00 below 1e-06 at 0/1: translates form a continuum, "
+            "no gaps to cross",
+    (2, 5): "phonon gap 8.327e-17 below 1e-06 at 2/5: translates form a continuum, "
+            "no gaps to cross",
+}
+
+
+@pytest.mark.parametrize("p,q", sorted(DEGENERATE_MESSAGES))
+def test_degenerate_family_message_is_unchanged(p, q):
+    m0 = frenkel_kontorova(0.0)
+    for build in (lambda: flatness.TranslateLadder(m0, p, q),
+                  lambda: flatness.heteroclinic_segment(m0, p, q, 1, 4),
+                  lambda: flatness.concatenate_loop(m0, p, q, 4)):
+        with pytest.raises(DegenerateFamily) as err:
+            build()
+        assert str(err.value) == DEGENERATE_MESSAGES[(p, q)]
 
 
 def test_curve_without_table_solves_with_the_given_options(k2, monkeypatch):

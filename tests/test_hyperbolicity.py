@@ -10,11 +10,12 @@ from staircase_lab.hyperbolicity import (
     full_report,
     monodromy,
     phonon_gap,
+    phonon_gap_exceeds,
     pn_barrier,
     second_variation_spectrum,
     transfer_matrices,
 )
-from staircase_lab import solvers
+from staircase_lab import flatness, parse_model, solvers
 from staircase_lab.model import frenkel_kontorova
 from staircase_lab.solvers import PeriodicProblem, SolveOptions, tridiag_dense
 from staircase_lab.variational import minimize_periodic, minimize_periodic_many
@@ -224,3 +225,34 @@ def test_full_report_seeds_its_barrier(monkeypatch):
     rep = full_report(m, cfg, options=opts)
     assert seeds == [3]
     assert rep.pn_barrier == pn_barrier(m, 1, 2, options=opts)
+
+
+GOLDEN = [(0, 1), (1, 1)] + [(a, b) for a, b in zip(
+    [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610],
+    [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987])]
+LOOP_RATIONALS = sorted({(r.numerator, r.denominator)
+                         for p, q in ((0, 1), (1, 2), (1, 3), (2, 5))
+                         for T in flatness.loop_t_grid(q)
+                         for r in [flatness.loop_rational(p, q, T)]})
+
+
+@pytest.mark.parametrize("name", ["fk-0.0", "fk-0.01", "fk-0.05", "fk-0.5", "fk-2.0", "fourier"])
+def test_phonon_gap_exceeds_the_floor_as_the_dense_gap_does(name, digest_tool):
+    """The O(q) test against the dense gap wherever the two are apart by more
+    than 1e-12 of the scale, at the 20 loop rationals and the golden
+    convergents up to 610/987."""
+    model = (parse_model(digest_tool.FOURIER_MODEL) if name == "fourier"
+             else frenkel_kontorova(float(name[3:])))
+    floor = flatness.PHONON_GAP_FLOOR
+    assert len(LOOP_RATIONALS) == 20
+    checked = 0
+    for cfg in minimize_periodic_many(model, sorted(set(GOLDEN + LOOP_RATIONALS))).values():
+        if isinstance(cfg, Exception):
+            continue
+        prob = PeriodicProblem(model, cfg.p, cfg.q)
+        diag, _ = prob.hessian_parts(prob.from_lift(cfg.positions))
+        gap = phonon_gap(model, cfg)
+        if abs(gap - floor) > 1e-12 * max(1.0, float(np.abs(diag).max())):
+            assert phonon_gap_exceeds(model, cfg, floor) == (gap > floor), (cfg.p, cfg.q, gap)
+            checked += 1
+    assert checked >= 30

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from staircase_lab import flatness, scan
+from staircase_lab import flatness, parse_model, scan, solvers
 from staircase_lab.model import GeneratingModel, frenkel_kontorova
 from staircase_lab.solvers import (
     PeriodicProblem,
@@ -14,7 +14,10 @@ from staircase_lab.solvers import (
     certify_psd_periodic_u,
     certify_psd_segment,
     class_distance,
+    positive_definite,
+    segment_hessian_parts,
     solve_all_starts,
+    solve_all_starts_many,
     solve_cyclic_tridiag_sym,
     solve_tridiag_sym,
     tridiag_dense,
@@ -142,16 +145,16 @@ def shifted_margin(prob, u):
     return float(np.linalg.eigvalsh(H)[0]) / scale + 1e-8
 
 
-def threshold_pair(prob, inside, outside, rel=1e-6):
+def threshold_pair(prob, inside, outside, rel=1e-6, margin=shifted_margin):
     """Two states on the line from inside (margin > 0) to outside (margin <= 0),
     bisected until both margins are within rel of 0, on either side of it."""
     lo, hi = 0.0, 1.0
     for _ in range(200):
         a, b = (inside + t * (outside - inside) for t in (lo, hi))
-        if shifted_margin(prob, a) <= rel and shifted_margin(prob, b) >= -rel:
+        if margin(prob, a) <= rel and margin(prob, b) >= -rel:
             return a, b
         mid = 0.5 * (lo + hi)
-        if shifted_margin(prob, inside + mid * (outside - inside)) > 0.0:
+        if margin(prob, inside + mid * (outside - inside)) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -179,6 +182,108 @@ def test_folded_certificate_matches_the_dense_cholesky_it_replaced(name, p, q):
         for u in threshold_pair(prob, a, b):
             want = shifted_margin(prob, u) > 0.0
             assert certify_psd_periodic_u(prob, u) == cholesky_psd_folded(prob, u) == want
+
+
+def dense_positive_definite(diag, off, shift):
+    """np.linalg.cholesky of the dense (folded) matrix plus shift*I."""
+    H = tridiag_dense(diag, off)
+    try:
+        np.linalg.cholesky(H + shift * np.eye(len(H)))
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+# the certificates' +-1e-8*scale of the dense matrix H and the ladder's -floor
+KERNEL_SHIFTS = {"+1e-8": lambda H: 1e-8 * scale_of(np.diag(H)),
+                 "-1e-8": lambda H: -1e-8 * scale_of(np.diag(H)),
+                 "-floor": lambda H: -flatness.PHONON_GAP_FLOOR}
+
+
+def check_kernel(diag, off):
+    """positive_definite against the dense Cholesky at every kernel shift;
+    returns the verdicts, in the order of KERNEL_SHIFTS."""
+    got = []
+    for shift_of in KERNEL_SHIFTS.values():
+        shift = shift_of(tridiag_dense(diag, off))
+        ok = positive_definite(diag, off, shift)
+        assert ok == dense_positive_definite(diag, off, shift), (len(diag), shift)
+        got.append(ok)
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_positive_definite_on_the_benchmark_classes(bench, seed):
+    """Every class the stacked solve returns on the benchmark work list,
+    saddles included, and the certificate it carries."""
+    config = scan.parse_scan_config(bench.SCAN_CONFIG.format(seed=seed, workers=1))
+    rationals = scan.work_list(config)
+    verdicts = set()
+    for (p, q), points in zip(rationals, solve_all_starts_many(config.model, rationals,
+                                                               config.options)):
+        prob = PeriodicProblem(config.model, p, q)
+        for c in points:
+            parts = prob.hessian_parts(prob.from_lift(c.positions))
+            got = check_kernel(*parts)
+            assert got[0] == c.is_certified_minimal == certify_psd_periodic_u(
+                prob, prob.from_lift(c.positions))
+            verdicts.update(got)
+    assert verdicts == {True, False}
+
+
+def test_positive_definite_on_the_benchmark_gap_segments(bench, monkeypatch):
+    """The open chain of every candidate the gap-segment solves of the
+    benchmark's flatness targets certify, at the longest default T."""
+    seen = []
+    certify = solvers.certify_psd_segment
+
+    def recording(model, w, n_fix_left, n_fix_right, shift=1e-8):
+        seen.append((model, w.copy(), n_fix_left, n_fix_right, shift))
+        return certify(model, w, n_fix_left, n_fix_right, shift)
+
+    monkeypatch.setattr(solvers, "certify_psd_segment", recording)
+    model = parse_model(bench.MODEL_TEXT)
+    for p, q in FLATNESS_TARGETS:
+        flatness.concatenate_loop(model, p, q, flatness.loop_t_grid(q)[-1])
+    assert len(seen) >= 4 * 7
+    for m, w, lo, right, shift in seen:
+        diag, off = segment_hessian_parts(m, w, lo, len(w) - right)
+        check_kernel(diag, off)
+        shift *= scale_of(diag)
+        assert positive_definite(diag, off, shift) == dense_positive_definite(diag, off, shift)
+
+
+@pytest.mark.parametrize("shift_name", sorted(KERNEL_SHIFTS))
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (1, 3), (2, 5), (5, 13)])
+@pytest.mark.parametrize("name", sorted(FOLD_MODELS))
+def test_positive_definite_at_its_threshold(name, p, q, shift_name):
+    """positive_definite(H, shift) against the dense Cholesky of H + shift*I
+    and the sign of its smallest eigenvalue, on random states and on states
+    within 1e-6 (in units of the scale) of the threshold."""
+    prob = PeriodicProblem(FOLD_MODELS[name], p, q)
+    shift_of = KERNEL_SHIFTS[shift_name]
+
+    def margin(prob, u):
+        H = tridiag_dense(*prob.hessian_parts(u))
+        return (float(np.linalg.eigvalsh(H)[0]) + shift_of(H)) / scale_of(np.diag(H))
+
+    def check(u, want=None):
+        parts = prob.hessian_parts(u)
+        shift = shift_of(tridiag_dense(*parts))
+        got = positive_definite(*parts, shift)
+        assert got == dense_positive_definite(*parts, shift)
+        assert want is None or got == want
+
+    rng = np.random.default_rng([q, p % 7, sorted(FOLD_MODELS).index(name),
+                                 sorted(KERNEL_SHIFTS).index(shift_name)])
+    states = list(rng.uniform(-0.5, 0.5, (200, q)))
+    for u in states:
+        check(u)
+    inside = [u for u in states if margin(prob, u) > 1e-6]
+    outside = [u for u in states if margin(prob, u) < -1e-6]
+    for a, b in list(zip(inside, outside))[:20]:
+        for u in threshold_pair(prob, a, b, margin=margin):
+            check(u, margin(prob, u) > 0.0)
 
 
 def test_best_minimizer_is_minimize_periodics_record():

@@ -135,6 +135,16 @@ NON_FINITE_WINDOWS = [
 ]
 
 
+BAD_PROBES = [
+    "cf = 0, 1, 1\ndelta = nan\n",
+    "cf = 0, 1, 1\ndelta = inf\n",
+    "cf = 0, 1, 1\ndelta = 0\n",
+    "cf = 0, 1, 1\ndelta = -0.1\n",
+    "cf = 0, 0, 1\n",                                             # a convergent with q = 0
+    "cf = 0, -1, 2\n",                                            # a convergent 1/-1
+]
+
+
 @pytest.mark.parametrize("text", [
     "[scan]\nq_max = 5\n",                                        # no model
     "[model]\nfamily = frenkel-kontorova\nk = 1.0\n",             # no scan
@@ -157,6 +167,8 @@ NON_FINITE_WINDOWS = [
     "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\nestimator_q = 4\n",
     "[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 3\nderivative_depth = 1\n",
     *NON_FINITE_WINDOWS,
+    *(f"[model]\nfamily = frenkel-kontorova\nk = 1.0\n[scan]\nq_max = 4\n[probe]\n{probe}"
+      for probe in BAD_PROBES),
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ConfigError):
@@ -656,6 +668,18 @@ def test_cli_scan_without_out_dir_exits_2(tmp_path, capsys, monkeypatch):
     assert [f.name for f in tmp_path.iterdir()] == ["scan.cfg"]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "out_dir" in err[0]
+
+
+@pytest.mark.parametrize("command", ["scan", "probe-kam"])
+@pytest.mark.parametrize("probe", BAD_PROBES)
+def test_cli_bad_probe_exits_2_and_writes_nothing(command, probe, tmp_path, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(K0_TEXT + "\n[probe]\n" + probe)
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: [probe]")
 
 
 @pytest.mark.parametrize("text", NON_FINITE_WINDOWS)

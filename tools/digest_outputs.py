@@ -64,6 +64,11 @@ prints one "<sha256>  <label>" line for:
   not rationals of q <= q_max and snap to them (0.2 and 0.6 to 1/5 and 3/5
   at q_max = 5, 0.34 to 1/3 at q_max = 4, and 0.1 and 0.2 both to 0/1 at
   q_max = 2).  Those rationals bound the c-window and lead the locking table.
+- both sides of the flatness ladder's phonon-gap gate (GATE_FLATNESS):
+  `flatness --out-dir DIR` and its CSV at FK k = 0 0/1, which is degenerate
+  and has all-nan bounds, and at FK k = 0.01 2/5, which is hyperbolic with
+  a gap of 4.1e-4; then the DegenerateFamily message that
+  `heteroclinic_segment` raises at FK k = 0 0/1.
 
 BLAS is pinned to one thread and STAIRCASE_LAB_CACHE is ignored, as in the
 benchmark.  Everything is written to a temporary directory.
@@ -153,6 +158,13 @@ LOOP_RATIONALS = ((0, 1), (1, 2), (1, 3), (2, 5))
 CORRUPT_AT = (2, 5)  # the warm-cache query whose own record is corrupted
 
 FLATNESS_CACHED = ((0, 1), (2, 5))  # flatness targets run cold, then warm, on a cache
+
+FK_MODEL = """[model]
+family = frenkel-kontorova
+k = {k}
+"""
+
+GATE_FLATNESS = ((0.0, 0, 1), (0.01, 2, 5))  # (k, p, q): gap 0, then 4.1e-4
 
 
 def sha(data) -> str:
@@ -327,6 +339,25 @@ def shell_digests(bench, cli, model: Path, seed: int, work: Path):
         yield sha(proc.stderr), f"{label} stderr"
 
 
+def gate_digests(bench, cli, seed: int, work: Path):
+    """flatness on each side of the phonon-gap gate, then the degenerate side's error."""
+    from staircase_lab import flatness, parse_model, solvers
+    from staircase_lab.errors import DegenerateFamily
+
+    for k, p, q in GATE_FLATNESS:
+        model = work / f"fk-{k}-model"
+        model.write_text(FK_MODEL.format(k=k))
+        yield from orbit_digests(bench, cli, model, (), (p, q), f"fk k={k} ", seed, work)
+    label = f"fk k=0.0 heteroclinic_segment 0/1 gap=1 T=4 seed={seed}"
+    try:
+        flatness.heteroclinic_segment(parse_model(FK_MODEL.format(k=0.0)), 0, 1, 1, 4,
+                                      solvers.SolveOptions(seed=seed))
+        message = "no error"
+    except DegenerateFamily as exc:
+        message = str(exc)
+    yield sha(message), f"{label} DegenerateFamily"
+
+
 def digests(bench, seed: int, work: Path):
     from staircase_lab import cli, parse_model, scan
 
@@ -367,6 +398,7 @@ def digests(bench, seed: int, work: Path):
         text = WINDOW_SCAN.format(q_max=q_max, h_lo=h_lo, h_hi=h_hi, seed=seed)
         yield from scan_digests(scan, text, f"window [{h_lo}, {h_hi}] q_max={q_max} scan "
                                 f"seed={seed} workers=1", work / f"window-{seed}-{q_max}")
+    yield from gate_digests(bench, cli, seed, work)
 
 
 def main(argv=None) -> int:
